@@ -529,7 +529,6 @@ int64_t SsdCacheBase::WindowErrors(const Partition& part, Time now) const {
 }
 
 void SsdCacheBase::MaybeDegrade(IoContext& ctx) {
-  if (degraded_.load(std::memory_order_acquire)) return;
   // Cheap hot-path early-out: nothing to scan unless an error landed since
   // the last sweep.
   const int64_t events = device_errors_.load(std::memory_order_relaxed);
@@ -540,23 +539,7 @@ void SsdCacheBase::MaybeDegrade(IoContext& ctx) {
     if (part.degraded.load(std::memory_order_acquire)) continue;
     if (WindowErrors(part, ctx.now) < options_.degrade_error_limit) continue;
     DegradePartition(part, ctx);
-    if (degraded_.load(std::memory_order_acquire)) return;  // kill switch
   }
-}
-
-void SsdCacheBase::EnterDegradedMode(IoContext& ctx) {
-  bool expected = false;
-  if (!degrade_entered_.compare_exchange_strong(expected, true,
-                                                std::memory_order_acq_rel)) {
-    return;
-  }
-  // Take every partition through the per-partition salvage+purge+publish
-  // sequence while the device may still answer. The terminal flag is
-  // raised only afterwards: a reader that observes it skips every latch
-  // and falls back to disk, so it must never be visible while a dirty
-  // frame (the only current copy of its page) still sits in a table.
-  for (auto& partp : partitions_) DegradePartition(*partp, ctx);
-  degraded_.store(true, std::memory_order_release);
 }
 
 void SsdCacheBase::DegradePartition(Partition& part, IoContext& ctx) {
@@ -582,11 +565,6 @@ void SsdCacheBase::DegradePartition(Partition& part, IoContext& ctx) {
   degraded_partitions_.fetch_add(1, std::memory_order_acq_rel);
   Counters::Bump(counters_.partitions_degraded);
   MaintainJournal(ctx);
-  if (!options_.self_healing) {
-    // The old terminal cliff: the first partition failure takes the whole
-    // cache down for good.
-    EnterDegradedMode(ctx);
-  }
 }
 
 void SsdCacheBase::PurgePartitionLocked(Partition& part) {
@@ -680,11 +658,9 @@ void SsdCacheBase::TryHealPartition(Partition& part, IoContext& ctx) {
 }
 
 int SsdCacheBase::ScrubTick(IoContext& ctx) {
+  // No degraded() early-out: canary probes must keep running when every
+  // partition is degraded, or nothing would ever heal.
   MaybeDegrade(ctx);
-  // Terminal kill switch only — NOT the derived all-partitions predicate:
-  // canary probes must keep running when every partition is degraded, or
-  // nothing would ever heal.
-  if (degraded_.load(std::memory_order_acquire)) return 0;
   int verified = 0;
   if (!partitions_.empty()) {
     std::vector<uint8_t> buf(ssd_device_->page_bytes());
@@ -794,9 +770,7 @@ void SsdCacheBase::DegradePartitionAt(size_t index, IoContext& ctx) {
 }
 
 void SsdCacheBase::ScrubStep() {
-  // Terminal degradation stops the actor for good (matching the old cliff);
-  // per-partition degradation keeps it running — that is the healer.
-  if (degraded_.load(std::memory_order_acquire)) return;
+  // Runs through any degradation: this actor is the healer.
   IoContext ctx;
   ctx.now = executor_->now();
   ctx.executor = executor_;

@@ -1,5 +1,6 @@
 #include "engine/database.h"
 
+#include <atomic>
 #include <utility>
 
 #include "common/status.h"
@@ -92,7 +93,6 @@ DbSystem::DbSystem(const SystemConfig& config)
           disk_io_engine_.get())),
       checkpoint_(std::make_unique<CheckpointManager>(
           buffer_pool_.get(), ssd_manager_.get(), &log_, &executor_)) {
-  log_.set_group_commit(config_.wal_group_commit);
   if (config_.persistent_ssd_cache) {
     // RecoverPersistent scans the full durable log to judge restored SSD
     // frames; checkpoint-driven WAL prefix truncation would hide updates
@@ -190,10 +190,14 @@ Database::Database(DbSystem* system) : system_(system) {
 
 PageId Database::AllocatePages(uint64_t n) {
   TURBOBP_CHECK(n > 0);
-  TURBOBP_CHECK(catalog_.next_free_page + n <=
-                system_->config().db_pages);
-  const PageId first = catalog_.next_free_page;
-  catalog_.next_free_page += n;
+  // Catalog stays a plain copyable value (RestoreCatalog, crash harness),
+  // so the bump goes through an atomic_ref; the bound check sits inside
+  // the CAS loop so no thread can claim pages past the end of the volume.
+  std::atomic_ref<uint64_t> next(catalog_.next_free_page);
+  uint64_t first = next.load();
+  do {
+    TURBOBP_CHECK(first + n <= system_->config().db_pages);
+  } while (!next.compare_exchange_weak(first, first + n));
   return first;
 }
 

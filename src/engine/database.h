@@ -82,11 +82,6 @@ struct SystemConfig {
   // commodity part of the stack.
   bool inject_ssd_faults = false;
   FaultPlan ssd_fault_plan = FaultPlan::Healthy();
-  // Leader-based WAL group commit (DESIGN.md §14). Off reinstates the
-  // pre-group-commit behavior — one log-device write per flush request,
-  // issued while holding the WAL latch — kept only as the A/B baseline for
-  // bench_scaleout_threads.
-  bool wal_group_commit = true;
   // Queue depth of the async I/O engine over the disk array (DESIGN.md §12):
   // read-ahead, checkpoint drain, LC group cleaning and recovery prefetch
   // submit through it. 0 disables the engine entirely — every consumer falls
@@ -179,7 +174,9 @@ class Database {
   const Catalog& catalog() const { return catalog_; }
   uint32_t page_bytes() const { return system_->config().page_bytes; }
 
-  // Allocates `n` contiguous pages; returns the first id.
+  // Allocates `n` contiguous pages; returns the first id. Thread-safe:
+  // concurrent B+-tree splits under different per-index latches each get a
+  // distinct extent.
   PageId AllocatePages(uint64_t n);
 
   // Benchmark fixtures snapshot the catalog after population and re-attach

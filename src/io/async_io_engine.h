@@ -84,9 +84,7 @@ struct AsyncIoRequest {
 //  * Threaded (options.threaded). A small worker pool pops batches and
 //    performs the blocking device call off-latch; Reap blocks until a
 //    completion is available. This is the backend for FileDevice-class real
-//    devices. (io_uring proper is an optional third backend behind the
-//    TURBOBP_IO_URING CMake flag; the container default is OFF and falls
-//    back to this thread pool.)
+//    devices.
 //
 // Coalescing: contiguous same-op runs on the submission queue are merged
 // into one vectored device request (the paper's multi-page trimming applied

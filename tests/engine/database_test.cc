@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
+#include <vector>
 
 namespace turbobp {
 namespace {
@@ -80,6 +83,50 @@ TEST(DatabaseDeathTest, AllocationBeyondVolumePanics) {
   DbSystem system(SmallConfig(SsdDesign::kNoSsd));
   Database db(&system);
   EXPECT_DEATH(db.AllocatePages(1 << 20), "");
+}
+
+// Two threads splitting different B+-trees hold different index latches,
+// so nothing but AllocatePages itself stands between them: every extent it
+// hands out must be disjoint from every other, or two trees share a page.
+TEST(DatabaseTest, ConcurrentAllocationsNeverOverlap) {
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 20000;
+  SystemConfig config = SmallConfig(SsdDesign::kNoSsd);
+  config.db_pages = 1 + 2ull * kThreads * kPerThread;
+  DbSystem system(config);
+  Database db(&system);
+
+  std::atomic<bool> go{false};
+  std::vector<std::vector<std::pair<PageId, uint64_t>>> extents(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      for (int i = 0; i < kPerThread; ++i) {
+        const uint64_t n = 1 + static_cast<uint64_t>((t + i) % 2);
+        extents[t].emplace_back(db.AllocatePages(n), n);
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& th : threads) th.join();
+
+  std::vector<uint8_t> owner(config.db_pages, 0);
+  uint64_t allocated = 0;
+  int64_t overlaps = 0;
+  for (const auto& list : extents) {
+    for (const auto& [first, n] : list) {
+      for (uint64_t p = first; p < first + n; ++p) {
+        ASSERT_LT(p, config.db_pages);
+        overlaps += owner[p]++ != 0 ? 1 : 0;
+      }
+      allocated += n;
+    }
+  }
+  EXPECT_EQ(overlaps, 0) << "pages handed out twice";
+  EXPECT_EQ(owner[0], 0) << "page 0 is reserved";
+  EXPECT_EQ(db.catalog().next_free_page, 1 + allocated);
 }
 
 TEST(DatabaseTest, CatalogSnapshotRestoreRoundTrip) {

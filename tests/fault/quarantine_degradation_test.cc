@@ -312,6 +312,27 @@ TEST_F(LcFaultTest, EmergencyFlushSalvagesDirtyFramesOnDegrade) {
 
   const AuditReport audit = InvariantAuditor::AuditSsdCache(*lc_);
   EXPECT_TRUE(audit.ok()) << audit.ToString();
+
+  // Degrade() is not terminal: the device never erred, so once the quiet
+  // window has passed one scrub tick's canary probes re-enable every
+  // partition and the cache serves again.
+  const Time healed_at = Seconds(1) + opts_.quiet_window;
+  IoContext tick = Ctx(healed_at);
+  lc_->ScrubTick(tick);
+  EXPECT_EQ(lc_->degraded_partition_count(), 0);
+  EXPECT_FALSE(lc_->degraded());
+  const SsdManagerStats healed = lc_->stats();
+  EXPECT_EQ(healed.partitions_degraded, opts_.num_partitions);
+  EXPECT_EQ(healed.partitions_recovered, opts_.num_partitions);
+
+  AdmitDirty(14, healed_at + Seconds(1));  // asserts cached_on_ssd
+  std::vector<uint8_t> out(kPage);
+  IoContext rctx = Ctx(healed_at + Seconds(2));
+  ASSERT_TRUE(lc_->TryReadPage(14, out, rctx));
+  EXPECT_EQ(out, MakePage(14, 14));
+  EXPECT_EQ(lc_->stats().hits, healed.hits + 1);
+  const AuditReport healed_audit = InvariantAuditor::AuditSsdCache(*lc_);
+  EXPECT_TRUE(healed_audit.ok()) << healed_audit.ToString();
 }
 
 TEST_F(LcFaultTest, UnsalvageableDirtyFrameBecomesALostPage) {
