@@ -2,7 +2,7 @@
 // disk for too long can make the recovery time unacceptably long" — the
 // flip side of LC's throughput win. Measures crash-recovery work and
 // virtual restart time as a function of lambda and of checkpoint recency,
-// plus the restart extension's variant.
+// plus the persistent SSD cache's warm restart.
 
 #include <cstdio>
 
@@ -16,12 +16,11 @@ struct Outcome {
   size_t restored = 0;
 };
 
-// Restart variants: cold SSD (classic), the ssd-table checkpoint extension,
-// or the crash-consistent persistent metadata journal.
-enum class Restart { kCold, kSsdTable, kPersistent };
+// Restart variants: cold SSD (classic) or the crash-consistent persistent
+// metadata journal.
+enum class Restart { kCold, kPersistent };
 
-Outcome RunOne(double lambda, bool take_checkpoint, Restart restart,
-               bool churn_after_ckpt = true) {
+Outcome RunOne(double lambda, bool take_checkpoint, Restart restart) {
   const TpccConfig config = bench::TpccForPages(16, bench::kTpccPages[0]);
   SystemConfig sys_config =
       bench::BaseSystem(SsdDesign::kLazyCleaning, bench::kTpccPages[0], lambda);
@@ -29,9 +28,6 @@ Outcome RunOne(double lambda, bool take_checkpoint, Restart restart,
   DbSystem system(sys_config);
   Database db(&system);
   TpccWorkload::Populate(&db, config);
-  if (restart == Restart::kSsdTable) {
-    system.checkpoint().EnableSsdTableCheckpoints();
-  }
   {
     TpccWorkload workload(&db, config);
     DriverOptions opts;
@@ -44,37 +40,24 @@ Outcome RunOne(double lambda, bool take_checkpoint, Restart restart,
     IoContext ctx = system.MakeContext();
     const Time end = system.checkpoint().RunCheckpoint(ctx);
     system.executor().RunUntil(std::max(end, system.executor().now()));
-    if (churn_after_ckpt) {
-      // A little more work after the checkpoint, then crash. This churn
-      // recycles SSD frames, invalidating part of the snapshot — the
-      // extension's recovery exposure.
-      TpccWorkload workload(&db, config);
-      DriverOptions opts;
-      opts.num_clients = bench::kClients;
-      opts.duration = bench::ScaledDuration(Seconds(20));
-      Driver driver(&system, &workload, opts);
-      driver.Run();
-    }
+    // A little more work after the checkpoint, then crash: the redo tail
+    // recovery must replay.
+    TpccWorkload workload(&db, config);
+    DriverOptions opts;
+    opts.num_clients = bench::kClients;
+    opts.duration = bench::ScaledDuration(Seconds(20));
+    Driver driver(&system, &workload, opts);
+    driver.Run();
   }
   system.Crash();
   IoContext rctx = system.MakeContext();
   Outcome out;
-  switch (restart) {
-    case Restart::kCold:
-      out.stats = system.Recover(rctx);
-      break;
-    case Restart::kSsdTable: {
-      auto [stats, restored] = system.RecoverWithSsdTable(rctx);
-      out.stats = stats;
-      out.restored = restored;
-      break;
-    }
-    case Restart::kPersistent: {
-      auto [stats, pstats] = system.RecoverPersistent(rctx);
-      out.stats = stats;
-      out.restored = pstats.restored;
-      break;
-    }
+  if (restart == Restart::kCold) {
+    out.stats = system.Recover(rctx);
+  } else {
+    auto [stats, pstats] = system.RecoverPersistent(rctx);
+    out.stats = stats;
+    out.restored = pstats.restored;
   }
   return out;
 }
@@ -91,25 +74,20 @@ void Run() {
     double lambda;
     bool ckpt;
     Restart restart;
-    bool churn;
   };
   const Row rows[] = {
-      {"LC lambda=10%, no checkpoint", 0.10, false, Restart::kCold, true},
-      {"LC lambda=90%, no checkpoint", 0.90, false, Restart::kCold, true},
-      {"LC lambda=90%, recent checkpoint", 0.90, true, Restart::kCold, true},
-      {"LC lambda=90%, ckpt + ext, churn after", 0.90, true, Restart::kSsdTable,
-       true},
-      {"LC lambda=90%, ckpt + ext, crash at ckpt", 0.90, true,
-       Restart::kSsdTable, false},
+      {"LC lambda=10%, no checkpoint", 0.10, false, Restart::kCold},
+      {"LC lambda=90%, no checkpoint", 0.90, false, Restart::kCold},
+      {"LC lambda=90%, recent checkpoint", 0.90, true, Restart::kCold},
       // The persistent journal needs no checkpoint at all: frames survive
       // the crash and cover redo work that the cold variants re-execute.
       {"LC lambda=90%, persistent journal, no ckpt", 0.90, false,
-       Restart::kPersistent, true},
+       Restart::kPersistent},
       {"LC lambda=90%, persistent journal + ckpt", 0.90, true,
-       Restart::kPersistent, true},
+       Restart::kPersistent},
   };
   for (const Row& r : rows) {
-    const Outcome out = RunOne(r.lambda, r.ckpt, r.restart, r.churn);
+    const Outcome out = RunOne(r.lambda, r.ckpt, r.restart);
     table.AddRow({r.label, TextTable::Fmt(out.stats.records_applied),
                   TextTable::Fmt(out.stats.pages_written),
                   TextTable::Fmt(ToSeconds(out.stats.elapsed), 2),
@@ -120,14 +98,10 @@ void Run() {
   std::printf(
       "Expected shape: without checkpoints, restart time grows with lambda\n"
       "(more dirty pages living only on the SSD -> longer redo); a recent\n"
-      "sharp checkpoint collapses it. The ssd-table extension is cheapest\n"
-      "when the crash is close to a checkpoint (snapshot frames intact:\n"
-      "records are covered by restored copies); inter-checkpoint churn\n"
-      "recycles frames and re-exposes redo work — the tradeoff a production\n"
-      "design would bound with snapshot-frame pinning or shorter intervals.\n"
-      "The persistent journal restores frames even with no checkpoint: its\n"
-      "on-SSD metadata survives the crash, so restored copies cover redo\n"
-      "work regardless of checkpoint recency.\n\n");
+      "sharp checkpoint collapses it. The persistent journal restores\n"
+      "frames with or without a checkpoint: its on-SSD metadata survives\n"
+      "the crash, so restored copies cover redo work regardless of\n"
+      "checkpoint recency.\n\n");
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ SsdCacheBase::SsdCacheBase(StorageDevice* ssd_device, DiskManager* disk,
         ssd_device, static_cast<uint64_t>(options.num_frames), region_pages,
         [this] {
           std::vector<SsdMetadataJournal::Record> recs;
-          for (const CheckpointEntry& e : SnapshotForCheckpoint()) {
+          for (const FrameEntry& e : LiveFrames()) {
             SsdMetadataJournal::Record r;
             r.frame = e.frame;
             r.page_id = e.page_id;
@@ -333,8 +333,8 @@ bool SsdCacheBase::AdmitPageImpl(PageId pid, std::span<const uint8_t> data,
   r.page_id = pid;
   r.kind = kind;
   // Record the page's LSN even for clean admissions (read from the page
-  // header): the restart extension needs it to prove a restored copy is
-  // still the newest version of the page.
+  // header): a warm restart needs it to prove a restored copy is still
+  // the newest version of the page.
   r.page_lsn = page_lsn != kInvalidLsn
                    ? page_lsn
                    : PageView(const_cast<uint8_t*>(data.data()),
@@ -809,9 +809,8 @@ void SsdCacheBase::ClearLostPage(PageId pid) {
   }
 }
 
-std::vector<SsdManager::CheckpointEntry> SsdCacheBase::SnapshotForCheckpoint()
-    const {
-  std::vector<CheckpointEntry> entries;
+std::vector<SsdCacheBase::FrameEntry> SsdCacheBase::LiveFrames() const {
+  std::vector<FrameEntry> entries;
   for (const auto& part : partitions_) {
     TrackedLockGuard lock(part->mu);
     for (int32_t rec = 0; rec < part->table.capacity(); ++rec) {
@@ -819,7 +818,7 @@ std::vector<SsdManager::CheckpointEntry> SsdCacheBase::SnapshotForCheckpoint()
       if (r.state != SsdFrameState::kClean && r.state != SsdFrameState::kDirty) {
         continue;
       }
-      CheckpointEntry e;
+      FrameEntry e;
       e.page_id = r.page_id;
       e.frame = FrameOf(*part, rec);
       e.dirty = r.state == SsdFrameState::kDirty;
@@ -830,22 +829,14 @@ std::vector<SsdManager::CheckpointEntry> SsdCacheBase::SnapshotForCheckpoint()
   return entries;
 }
 
-size_t SsdCacheBase::RestoreFromCheckpoint(
-    const std::vector<CheckpointEntry>& entries, IoContext& ctx,
-    const std::unordered_map<PageId, Lsn>* max_update_lsn,
-    std::unordered_map<PageId, Lsn>* covered_lsn) {
-  return RestoreEntries(entries, ctx, max_update_lsn, covered_lsn, nullptr);
-}
-
-size_t SsdCacheBase::RestoreEntries(
-    const std::vector<CheckpointEntry>& entries, IoContext& ctx,
+void SsdCacheBase::RestoreEntries(
+    const std::vector<FrameEntry>& entries, IoContext& ctx,
     const std::unordered_map<PageId, Lsn>* max_update_lsn,
     std::unordered_map<PageId, Lsn>* covered_lsn,
-    PersistentRestoreStats* stats) {
-  size_t restored = 0;
+    PersistentRestoreStats& stats) {
   std::vector<uint8_t> buf(ssd_device_->page_bytes());
   std::vector<uint8_t> disk_buf(disk_->page_bytes());
-  for (const CheckpointEntry& e : entries) {
+  for (const FrameEntry& e : entries) {
     Partition& part = PartitionFor(e.page_id);
     const int64_t rec64 = static_cast<int64_t>(e.frame) - part.frame_base;
     if (rec64 < 0 || rec64 >= part.table.capacity()) continue;
@@ -862,9 +853,9 @@ size_t SsdCacheBase::RestoreEntries(
     }
     for (int32_t other : popped) part.table.PushFree(other);
     if (got != rec) continue;  // record occupied or quarantined: stale entry
-    // Trust but verify: the frame may have been recycled after the snapshot
-    // was taken, or damaged while the cache was down. Reads are charged
-    // (restart-time work). A raw read distinguishes the two cheaply: a
+    // Trust but verify: the frame may have been recycled after the journal
+    // record was written, or damaged while the cache was down. Reads are
+    // charged (restart-time work). A raw read distinguishes the two cheaply: a
     // valid checksum naming a different page/LSN is a *recycled* frame
     // (healthy cells, silent drop); only a failed read or bad checksum is
     // escalated to the verified-retry path, whose persistent-corruption
@@ -892,36 +883,32 @@ size_t SsdCacheBase::RestoreEntries(
         // this path used to have was silently dropping such frames back
         // onto the free list, re-exposing the bad cells to new admissions.
         QuarantineRestoredFrame(part, rec);
-        if (stats != nullptr) ++stats->dropped_verification;
+        ++stats.dropped_verification;
         continue;
       }
       if (!vs.ok()) {  // device error past bounded retry
         part.table.PushFree(rec);
-        if (stats != nullptr) ++stats->dropped_verification;
+        ++stats.dropped_verification;
         continue;
       }
     }
     const PageView v(buf.data(), ssd_device_->page_bytes());
     if (v.header().page_id != e.page_id || v.header().lsn != e.page_lsn) {
       // The frame's self-identifying header does not back the entry's
-      // claim. Under a checkpoint-snapshot restore that is the expected
-      // recycled-frame case (silent); under the journal path it is a
-      // verification drop and counted as such.
+      // claim: a verification drop.
       part.table.PushFree(rec);
-      if (stats != nullptr) ++stats->dropped_verification;
+      ++stats.dropped_verification;
       continue;
     }
-    if (stats != nullptr && !e.dirty) {
-      // Journal path only: a "clean" journal entry can predate the disk
-      // write of the same image (write-through designs journal the SSD
-      // admission before the buffer pool's disk write lands). Attaching —
-      // and especially covering — such an entry would let redo skip an
-      // update the disk never received, and a clean frame may later be
-      // evicted without write-back. Only a disk copy at least as new as the
-      // entry proves the "clean" claim; anything else drops the entry and
-      // redo rebuilds the page from the disk base. (Checkpoint-snapshot
-      // restores skip this: their entries were taken with the disk drained
-      // current.)
+    if (!e.dirty) {
+      // A "clean" journal entry can predate the disk write of the same
+      // image (write-through designs journal the SSD admission before the
+      // buffer pool's disk write lands). Attaching — and especially
+      // covering — such an entry would let redo skip an update the disk
+      // never received, and a clean frame may later be evicted without
+      // write-back. Only a disk copy at least as new as the entry proves
+      // the "clean" claim; anything else drops the entry and redo rebuilds
+      // the page from the disk base.
       const Status ds = disk_->ReadPage(e.page_id, disk_buf, ctx);
       bool disk_current = false;
       if (ds.ok()) {
@@ -932,7 +919,7 @@ size_t SsdCacheBase::RestoreEntries(
       }
       if (!disk_current) {
         part.table.PushFree(rec);
-        ++stats->dropped_verification;
+        ++stats.dropped_verification;
         continue;
       }
     }
@@ -955,7 +942,7 @@ size_t SsdCacheBase::RestoreEntries(
         // restore) rolls the page forward from it. A crash before this
         // write replays the same restore path, so the reseed is idempotent.
         TURBOBP_CRASH_POINT("ssd/restore-reseed");
-        if (stats != nullptr) ++stats->reseeded;
+        ++stats.reseeded;
       }
       if (covered_lsn != nullptr) {
         Lsn& cl = (*covered_lsn)[e.page_id];
@@ -967,11 +954,11 @@ size_t SsdCacheBase::RestoreEntries(
     r.page_id = e.page_id;
     r.kind = AccessKind::kRandom;
     r.page_lsn = e.page_lsn;
-    // The caller has already filtered out entries superseded by later
-    // durable updates, so each surviving copy is the newest version of its
-    // page. Dirty entries stay dirty: the SSD still holds the only current
-    // copy, the redo pass skips the records it covers, and the cleaner
-    // carries on copying it to disk as before the crash.
+    // Entries superseded by later durable updates were diverted above, so
+    // each surviving copy is the newest version of its page. Dirty entries
+    // stay dirty: the SSD still holds the only current copy, the redo pass
+    // skips the records it covers, and the cleaner carries on copying it to
+    // disk as before the crash.
     r.state = e.dirty ? SsdFrameState::kDirty : SsdFrameState::kClean;
     r.access[0] = r.access[1] = 0;
     r.Touch(ctx.now);
@@ -989,20 +976,16 @@ size_t SsdCacheBase::RestoreEntries(
       Lsn& cl = (*covered_lsn)[e.page_id];
       cl = std::max(cl, e.page_lsn);
     }
-    if (stats != nullptr) {
-      ++stats->restored;
-      if (e.dirty && e.page_lsn != kInvalidLsn &&
-          (stats->min_dirty_lsn == kInvalidLsn ||
-           e.page_lsn < stats->min_dirty_lsn)) {
-        stats->min_dirty_lsn = e.page_lsn;
-      }
+    ++stats.restored;
+    if (e.dirty && e.page_lsn != kInvalidLsn &&
+        (stats.min_dirty_lsn == kInvalidLsn ||
+         e.page_lsn < stats.min_dirty_lsn)) {
+      stats.min_dirty_lsn = e.page_lsn;
     }
-    ++restored;
   }
-  return restored;
 }
 
-std::vector<SsdManager::CheckpointEntry> SsdCacheBase::LazyScanEntries(
+std::vector<SsdCacheBase::FrameEntry> SsdCacheBase::LazyScanEntries(
     IoContext& ctx,
     const std::unordered_map<uint64_t, SsdMetadataJournal::RecoveredEntry>*
         known) {
@@ -1010,7 +993,7 @@ std::vector<SsdManager::CheckpointEntry> SsdCacheBase::LazyScanEntries(
   // self-identifying (page id + LSN + checksum), so the frame area itself
   // is a slow second copy of the buffer table. Unmaterialized frames fail
   // the checksum (all-zero pages do not self-verify) and are skipped.
-  std::vector<CheckpointEntry> found;
+  std::vector<FrameEntry> found;
   std::vector<uint8_t> buf(ssd_device_->page_bytes());
   std::vector<uint8_t> disk_buf(disk_->page_bytes());
   for (const auto& partp : partitions_) {
@@ -1041,7 +1024,7 @@ std::vector<SsdManager::CheckpointEntry> SsdCacheBase::LazyScanEntries(
         if (dv.VerifyChecksum() && dv.header().page_id == pid) {
           if (dv.header().lsn > v.header().lsn) continue;  // stale leftover
           if (dv.header().lsn == v.header().lsn) {
-            CheckpointEntry e;
+            FrameEntry e;
             e.page_id = pid;
             e.frame = frame;
             e.dirty = false;
@@ -1051,7 +1034,7 @@ std::vector<SsdManager::CheckpointEntry> SsdCacheBase::LazyScanEntries(
           }
         }
       }
-      CheckpointEntry e;
+      FrameEntry e;
       e.page_id = pid;
       e.frame = frame;
       e.dirty = true;  // the SSD holds the newest (or only readable) image
@@ -1082,9 +1065,9 @@ bool SsdCacheBase::RecoverPersistentState(
   // re-attaching it dirty would wrongly shadow the disk. Redo heals
   // whatever such a drop loses.
   const bool keep_dirty = design() == SsdDesign::kLazyCleaning;
-  std::vector<CheckpointEntry> entries;
+  std::vector<FrameEntry> entries;
   entries.reserve(jr.entries.size());
-  const auto filter_add = [&](const CheckpointEntry& e) {
+  const auto filter_add = [&](const FrameEntry& e) {
     // The no-frame-newer-than-durable rule: a frame whose LSN exceeds the
     // WAL durable horizon reflects updates that did not survive the crash;
     // serving it would resurrect rolled-back state. The WAL rule makes
@@ -1098,7 +1081,7 @@ bool SsdCacheBase::RecoverPersistentState(
     entries.push_back(e);
   };
   for (const auto& [frame, re] : jr.entries) {
-    CheckpointEntry e;
+    FrameEntry e;
     e.page_id = re.page_id;
     e.frame = frame;
     e.dirty = re.dirty;
@@ -1107,7 +1090,7 @@ bool SsdCacheBase::RecoverPersistentState(
   }
   if (jr.incomplete()) {
     st.scan_fallback = true;
-    for (const CheckpointEntry& e :
+    for (const FrameEntry& e :
          LazyScanEntries(ctx, jr.valid ? &jr.entries : nullptr)) {
       filter_add(e);
     }
@@ -1115,7 +1098,7 @@ bool SsdCacheBase::RecoverPersistentState(
   // Newest image of each page first: RestoreEntries keeps the first
   // attachment of a page and drops later duplicates.
   std::sort(entries.begin(), entries.end(),
-            [](const CheckpointEntry& a, const CheckpointEntry& b) {
+            [](const FrameEntry& a, const FrameEntry& b) {
               if (a.page_id != b.page_id) return a.page_id < b.page_id;
               return a.page_lsn > b.page_lsn;
             });
@@ -1123,7 +1106,7 @@ bool SsdCacheBase::RecoverPersistentState(
   // avoids staging a record per re-attached frame — the re-seal below
   // snapshots the final table in one sweep instead.
   journal_suppress_.store(true, std::memory_order_release);
-  RestoreEntries(entries, ctx, max_update_lsn, covered_lsn, &st);
+  RestoreEntries(entries, ctx, max_update_lsn, covered_lsn, st);
   journal_suppress_.store(false, std::memory_order_release);
   const IoResult c = journal_->Compact(ctx);
   if (!c.ok()) {

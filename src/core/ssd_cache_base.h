@@ -95,13 +95,17 @@ class SsdCacheBase : public SsdManager {
                     IoContext& ctx) override;
   SsdManagerStats stats() const override;
 
-  // Restart extension (Section 6 future work): the SSD buffer table can be
-  // snapshotted into a checkpoint record and re-attached after a restart.
-  std::vector<CheckpointEntry> SnapshotForCheckpoint() const override;
-  size_t RestoreFromCheckpoint(
-      const std::vector<CheckpointEntry>& entries, IoContext& ctx,
-      const std::unordered_map<PageId, Lsn>* max_update_lsn = nullptr,
-      std::unordered_map<PageId, Lsn>* covered_lsn = nullptr) override;
+  // One live (clean or dirty) frame of the SSD buffer table: what the
+  // metadata journal persists per frame and what a warm restart re-attaches.
+  struct FrameEntry {
+    PageId page_id = kInvalidPageId;
+    uint64_t frame = 0;  // device frame holding the copy
+    bool dirty = false;
+    Lsn page_lsn = kInvalidLsn;
+  };
+  // Every live frame of the table, in frame order per partition (journal
+  // compaction, the crash harness's horizon checks).
+  std::vector<FrameEntry> LiveFrames() const;
 
   // Persistent cache (options().persistent_cache): warm restart from the
   // metadata journal + frame headers, reconciled against the WAL durable
@@ -462,20 +466,28 @@ class SsdCacheBase : public SsdManager {
   // Self-scheduling executor actor driving ScrubTick every scrub_interval.
   void ScrubStep();
 
-  // Shared restore engine behind RestoreFromCheckpoint and
-  // RecoverPersistentState; `stats` (optional) receives the drop/reseed
-  // breakdown.
-  size_t RestoreEntries(const std::vector<CheckpointEntry>& entries,
-                        IoContext& ctx,
-                        const std::unordered_map<PageId, Lsn>* max_update_lsn,
-                        std::unordered_map<PageId, Lsn>* covered_lsn,
-                        PersistentRestoreStats* stats);
+  // Re-attaches `entries` (newest image of each page first) whose device
+  // frames still hold the claimed page (header id + checksum + LSN
+  // verified). `max_update_lsn` (per-page highest durable update LSN)
+  // splits verified entries three ways:
+  //   * not superseded     -> restored into the cache (dirty stays dirty;
+  //     the cleaner resumes), covered through its LSN;
+  //   * superseded + dirty -> its content is copied to the disk once
+  //     (seeding the redo base), covered through its LSN, not cached;
+  //   * superseded + clean -> the disk already has it; covered only.
+  // `covered_lsn` receives, per page, the LSN up to which redo may skip
+  // update records entirely; `stats` receives the restored count and the
+  // drop/reseed breakdown.
+  void RestoreEntries(const std::vector<FrameEntry>& entries, IoContext& ctx,
+                      const std::unordered_map<PageId, Lsn>* max_update_lsn,
+                      std::unordered_map<PageId, Lsn>* covered_lsn,
+                      PersistentRestoreStats& stats);
 
   // Lazy-scan fallback for a torn/stale/absent journal: reads every frame
   // NOT claimed by `known` (may be null: scan everything), keeps the ones
   // whose self-identifying header checks out, and classifies them
   // clean/dirty against the current disk copy's LSN.
-  std::vector<CheckpointEntry> LazyScanEntries(
+  std::vector<FrameEntry> LazyScanEntries(
       IoContext& ctx,
       const std::unordered_map<uint64_t, SsdMetadataJournal::RecoveredEntry>*
           known);

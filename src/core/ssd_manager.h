@@ -5,7 +5,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -172,43 +171,6 @@ class SsdManager {
   // redo from the previous checkpoint is what heals the stranded pages.
   virtual IoResult FlushAllDirty(IoContext& ctx) {
     return IoResult{ctx.now, Status::Ok()};
-  }
-
-  // --- restart extension (the paper's Section 6 future work) ----------------
-
-  // Snapshot of the SSD buffer table for inclusion in a checkpoint record:
-  // with it, a checkpoint need not drain the SSD's dirty pages, and a
-  // restart can re-attach the (persistent) SSD contents instead of warming
-  // a cold cache. Entries are verified against the device at restore time,
-  // so frames recycled after the snapshot are simply dropped.
-  struct CheckpointEntry {
-    PageId page_id = kInvalidPageId;
-    uint64_t frame = 0;  // device frame holding the copy
-    bool dirty = false;
-    Lsn page_lsn = kInvalidLsn;
-  };
-  virtual std::vector<CheckpointEntry> SnapshotForCheckpoint() const {
-    return {};
-  }
-  // Re-attaches snapshot entries whose device frames still hold the claimed
-  // page (header id + checksum + LSN verified) — "using the contents of
-  // the SSD during the recovery task" (Section 4.1.2). Returns entries
-  // restored into the cache.
-  //
-  // `max_update_lsn` (per-page highest durable update LSN) splits verified
-  // entries three ways:
-  //   * not superseded            -> restored into the cache (dirty stays
-  //     dirty; the cleaner resumes), covered through its LSN;
-  //   * superseded + dirty        -> its content is copied to the disk once
-  //     (seeding the redo base), covered through its LSN, not cached;
-  //   * superseded + clean        -> the disk already has it; covered only.
-  // `covered_lsn` receives, per page, the LSN up to which redo may skip
-  // update records entirely.
-  virtual size_t RestoreFromCheckpoint(
-      const std::vector<CheckpointEntry>& entries, IoContext& ctx,
-      const std::unordered_map<PageId, Lsn>* max_update_lsn = nullptr,
-      std::unordered_map<PageId, Lsn>* covered_lsn = nullptr) {
-    return 0;
   }
 
   // --- persistent SSD cache (persistent_ssd_cache mode) ---------------------

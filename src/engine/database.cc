@@ -107,9 +107,10 @@ void DbSystem::Crash() {
   if (disk_io_engine_ != nullptr) disk_io_engine_->Reset();
   buffer_pool_->Reset();
   log_.DropUnflushed();
-  // A restart reformats the SSD buffer pool: no design to date reuses its
-  // contents across restarts (paper, Section 6). The fault wrapper (and its
-  // op clock / offline state) survives the restart: a dying SSD stays dying.
+  // A restart rebuilds the SSD manager over the surviving device: the cache
+  // starts empty, and RecoverPersistent re-attaches the journaled frames
+  // when persistent_ssd_cache is on. The fault wrapper (and its op clock /
+  // offline state) survives the restart: a dying SSD stays dying.
   ssd_manager_ = BuildSsdManager(config_,
                                  ssd_fault_device_ != nullptr
                                      ? static_cast<StorageDevice*>(
@@ -124,35 +125,6 @@ void DbSystem::Crash() {
 RecoveryStats DbSystem::Recover(IoContext& ctx) {
   RecoveryManager recovery(&disk_manager_, &log_, disk_io_engine_.get());
   return recovery.Recover(ctx);
-}
-
-std::pair<RecoveryStats, size_t> DbSystem::RecoverWithSsdTable(IoContext& ctx) {
-  RecoveryManager recovery(&disk_manager_, &log_, disk_io_engine_.get());
-  const SsdTableSnapshot* snapshot = checkpoint_->latest_snapshot();
-  if (snapshot == nullptr) {
-    return {recovery.Recover(ctx), 0};
-  }
-  // Phase 1 — restore the SSD first. Filter snapshot entries against the
-  // durable log (an in-memory scan, no I/O): an entry survives only if no
-  // durable update postdates its snapshot-time page LSN, i.e. it is still
-  // the newest version of its page.
-  std::unordered_map<PageId, Lsn> max_update_lsn;
-  for (const LogRecord& rec : log_.records_for_recovery()) {
-    if (!log_.IsDurable(rec.lsn)) break;
-    if (rec.type != LogRecordType::kUpdate) continue;
-    Lsn& maxl = max_update_lsn[rec.page_id];
-    maxl = std::max(maxl, rec.lsn);
-  }
-  std::unordered_map<PageId, Lsn> covered;
-  const size_t restored = ssd_manager_->RestoreFromCheckpoint(
-      snapshot->entries, ctx, &max_update_lsn, &covered);
-  // Phase 2 — redo. Records covered by a restored SSD copy are skipped (the
-  // SSD already holds them; the cleaner will move them to disk), so the
-  // extended redo horizon (back to the oldest dirty SSD page) costs a log
-  // scan, not disk I/O.
-  const RecoveryStats stats =
-      recovery.Recover(ctx, snapshot->min_dirty_lsn, nullptr, &covered);
-  return {stats, restored};
 }
 
 std::pair<RecoveryStats, PersistentRestoreStats> DbSystem::RecoverPersistent(
@@ -177,8 +149,7 @@ std::pair<RecoveryStats, PersistentRestoreStats> DbSystem::RecoverPersistent(
   ssd_manager_->RecoverPersistentState(horizon, ctx, &max_update_lsn, &covered,
                                        &pstats);
   RecoveryManager recovery(&disk_manager_, &log_, disk_io_engine_.get());
-  RecoveryStats stats =
-      recovery.Recover(ctx, pstats.min_dirty_lsn, nullptr, &covered);
+  RecoveryStats stats = recovery.Recover(ctx, pstats.min_dirty_lsn, &covered);
   stats.records_truncated += static_cast<int64_t>(truncated);
   return {stats, pstats};
 }

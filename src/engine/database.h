@@ -127,13 +127,6 @@ class DbSystem {
   // Redo-only restart recovery; returns its stats.
   RecoveryStats Recover(IoContext& ctx);
 
-  // Restart recovery with the Section-6 extension: redo covers the oldest
-  // dirty SSD page of the last SSD-table checkpoint, then snapshot entries
-  // that are provably still the newest version of their page are
-  // re-attached to the (fresh) SSD manager — a warm cache at restart
-  // instead of hours of ramp-up. Returns (recovery stats, frames restored).
-  std::pair<RecoveryStats, size_t> RecoverWithSsdTable(IoContext& ctx);
-
   // Restart recovery for the persistent SSD cache (persistent_ssd_cache):
   // prunes the torn log tail, recovers the SSD metadata journal, reconciles
   // every recovered mapping against the WAL durable horizon (frames whose

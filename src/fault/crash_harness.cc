@@ -166,7 +166,7 @@ void ExerciseSelfHealing(DbSystem& system, IoContext& ctx) {
   Sync(system, ctx);
   StorageDevice* dev = system.ssd_device();
   if (dev != nullptr) {
-    for (const auto& e : cache->SnapshotForCheckpoint()) {
+    for (const auto& e : cache->LiveFrames()) {
       if (e.dirty) continue;
       // Payload corruption: the header stays legible but the checksum
       // fails, so the patrol must quarantine the frame and re-seed the page
@@ -614,13 +614,16 @@ CrashScenarioResult VerifyWarmCapture(const CrashHarnessOptions& o,
 
   // 1. Horizon rule: no re-attached frame may claim an LSN beyond the WAL
   // durable horizon — serving one would expose unrecoverable state.
-  for (const auto& e : b.system->ssd_manager().SnapshotForCheckpoint()) {
-    if (e.page_lsn != kInvalidLsn && e.page_lsn > horizon) {
-      result.failures.push_back(
-          label + " horizon rule: frame " + std::to_string(e.frame) +
-          " re-attached page " + std::to_string(e.page_id) + " at LSN " +
-          std::to_string(e.page_lsn) + " > durable horizon " +
-          std::to_string(horizon));
+  if (const auto* cache =
+          dynamic_cast<const SsdCacheBase*>(&b.system->ssd_manager())) {
+    for (const auto& e : cache->LiveFrames()) {
+      if (e.page_lsn != kInvalidLsn && e.page_lsn > horizon) {
+        result.failures.push_back(
+            label + " horizon rule: frame " + std::to_string(e.frame) +
+            " re-attached page " + std::to_string(e.page_id) + " at LSN " +
+            std::to_string(e.page_lsn) + " > durable horizon " +
+            std::to_string(horizon));
+      }
     }
   }
 

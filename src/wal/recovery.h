@@ -25,11 +25,14 @@ struct RecoveryStats {
 
 // Redo-only restart recovery (ARIES redo pass over physiological records).
 //
-// After a crash the buffer pool and the SSD cache contents are discarded —
-// as the paper notes (Section 6), no design to date leverages the SSD
-// during restart. The sharp checkpoint guarantees the disk is current as of
-// the last completed checkpoint; this pass replays the durable log tail,
-// applying each update record whose LSN is newer than the on-disk page LSN.
+// After a crash the buffer pool is gone. The SSD cache comes back empty
+// unless the persistent SSD cache re-attaches its journaled frames first
+// (DbSystem::RecoverPersistent), in which case the caller passes the
+// restored dirty frames in as `redo_start_override` and `covered_by_ssd`.
+// The sharp checkpoint guarantees the disk is current as of the last
+// completed checkpoint, apart from what such restored frames cover; this
+// pass replays the durable log tail, applying each update record whose LSN
+// is newer than the on-disk page LSN.
 class RecoveryManager {
  public:
   // `io_engine`, when provided, batches the redo pass's page reads: the
@@ -45,17 +48,14 @@ class RecoveryManager {
   // the beginning if none). Reads and writes pages directly through the
   // disk manager. Returns stats; ctx carries timing.
   //
-  // `redo_start_override` forces an earlier redo start (the restart
-  // extension must cover dirty SSD pages whose updates predate the last
-  // checkpoint). `max_update_lsn`, if given, receives the highest durable
-  // update LSN seen per page — the restart extension uses it to prove a
-  // snapshot entry is still the newest version of its page.
-  // `covered_by_ssd` maps pages to the LSN up to which a restored SSD copy
-  // already contains all updates: redo skips those records entirely (no
-  // disk I/O), which is what makes the restart extension's recovery fast.
+  // `redo_start_override` forces an earlier redo start (a warm restart must
+  // cover restored dirty SSD frames whose updates predate the last
+  // checkpoint). `covered_by_ssd` maps pages to the LSN up to which a
+  // restored SSD copy already contains all updates: redo skips those
+  // records entirely (no disk I/O), which is what makes a warm restart's
+  // recovery fast.
   RecoveryStats Recover(
       IoContext& ctx, Lsn redo_start_override = kInvalidLsn,
-      std::unordered_map<PageId, Lsn>* max_update_lsn = nullptr,
       const std::unordered_map<PageId, Lsn>* covered_by_ssd = nullptr);
 
  private:
