@@ -17,6 +17,7 @@ SsdCacheBase::SsdCacheBase(StorageDevice* ssd_device, DiskManager* disk,
     : options_(options),
       ssd_device_(ssd_device),
       disk_(disk),
+      io_engine_(&disk->engine()),
       executor_(executor) {
   TURBOBP_CHECK(ssd_device != nullptr);
   TURBOBP_CHECK(options.num_frames > 0);
@@ -734,24 +735,18 @@ bool SsdCacheBase::ScrubOneSlot(IoContext& ctx, std::vector<uint8_t>& buf) {
 
 void SsdCacheBase::RepairFrame(PageId pid, IoContext& ctx) {
   std::vector<uint8_t> buf(disk_->page_bytes());
+  // Patrol repairs ride the low-priority lane: they must never starve
+  // foreground I/O.
+  AsyncIoRequest req;
+  req.op = IoOp::kRead;
+  req.first_page = pid;
+  req.num_pages = 1;
+  req.out = std::span<uint8_t>(buf);
+  req.low_priority = true;
   Status rs = Status::Ok();
-  if (options_.disk_io_engine != nullptr) {
-    // Patrol repairs ride the low-priority lane: they must never starve
-    // foreground I/O.
-    AsyncIoRequest req;
-    req.op = IoOp::kRead;
-    req.first_page = pid;
-    req.num_pages = 1;
-    req.out = std::span<uint8_t>(buf);
-    req.low_priority = true;
-    Status got = Status::Ok();
-    req.on_complete = [&got](const IoCompletion& c) { got = c.result.status; };
-    options_.disk_io_engine->Submit(req, ctx);
-    ctx.Wait(options_.disk_io_engine->Drain(ctx));
-    rs = got;
-  } else {
-    rs = disk_->ReadPage(pid, buf, ctx);
-  }
+  req.on_complete = [&rs](const IoCompletion& c) { rs = c.result.status; };
+  io_engine_->Submit(req, ctx);
+  ctx.Wait(io_engine_->Drain(ctx));
   if (!rs.ok()) return;  // disk unreadable: the quarantine already happened
   const PageView v(buf.data(), disk_->page_bytes());
   if (v.header().page_id != pid || !v.VerifyChecksum()) return;

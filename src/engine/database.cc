@@ -13,15 +13,13 @@ namespace {
 std::unique_ptr<SsdManager> BuildSsdManager(const SystemConfig& config,
                                             StorageDevice* ssd_device,
                                             DiskManager* disk,
-                                            SimExecutor* executor,
-                                            AsyncIoEngine* disk_engine) {
+                                            SimExecutor* executor) {
   if (config.design == SsdDesign::kNoSsd || ssd_device == nullptr) {
     return std::make_unique<NoSsdManager>();
   }
   SsdCacheOptions opts = config.ssd_options;
   opts.num_frames = config.ssd_frames;
   opts.persistent_cache = config.persistent_ssd_cache;
-  opts.disk_io_engine = disk_engine;
   switch (config.design) {
     case SsdDesign::kCleanWrite:
       return std::make_unique<CleanWriteCache>(ssd_device, disk, opts,
@@ -74,23 +72,15 @@ DbSystem::DbSystem(const SystemConfig& config)
           config_.log_device_pages, config_.page_bytes,
           std::make_unique<HddModel>(config_.log_params))),
       disk_manager_(disk_array_.get()),
-      disk_io_engine_(config_.io_queue_depth > 0
-                          ? std::make_unique<AsyncIoEngine>(
-                                disk_array_.get(),
-                                AsyncIoEngine::Options{
-                                    .queue_depth = config_.io_queue_depth})
-                          : nullptr),
       log_(log_device_.get()),
       ssd_manager_(BuildSsdManager(config_,
                                    ssd_fault_device_ != nullptr
                                        ? static_cast<StorageDevice*>(
                                              ssd_fault_device_.get())
                                        : ssd_device_.get(),
-                                   &disk_manager_, &executor_,
-                                   disk_io_engine_.get())),
+                                   &disk_manager_, &executor_)),
       buffer_pool_(std::make_unique<BufferPool>(
-          config_.bp_options, &disk_manager_, &log_, ssd_manager_.get(),
-          disk_io_engine_.get())),
+          config_.bp_options, &disk_manager_, &log_, ssd_manager_.get())),
       checkpoint_(std::make_unique<CheckpointManager>(
           buffer_pool_.get(), ssd_manager_.get(), &log_, &executor_)) {
   if (config_.persistent_ssd_cache) {
@@ -104,7 +94,7 @@ DbSystem::DbSystem(const SystemConfig& config)
 void DbSystem::Crash() {
   // The engine's submission queue is volatile: queued-but-unissued requests
   // die with the power, exactly like the pool's dirty frames.
-  if (disk_io_engine_ != nullptr) disk_io_engine_->Reset();
+  disk_manager_.engine().Reset();
   buffer_pool_->Reset();
   log_.DropUnflushed();
   // A restart rebuilds the SSD manager over the surviving device: the cache
@@ -116,14 +106,13 @@ void DbSystem::Crash() {
                                      ? static_cast<StorageDevice*>(
                                            ssd_fault_device_.get())
                                      : ssd_device_.get(),
-                                 &disk_manager_, &executor_,
-                                 disk_io_engine_.get());
+                                 &disk_manager_, &executor_);
   buffer_pool_->set_ssd_manager(ssd_manager_.get());
   checkpoint_->set_ssd_manager(ssd_manager_.get());
 }
 
 RecoveryStats DbSystem::Recover(IoContext& ctx) {
-  RecoveryManager recovery(&disk_manager_, &log_, disk_io_engine_.get());
+  RecoveryManager recovery(&disk_manager_, &log_);
   return recovery.Recover(ctx);
 }
 
@@ -148,7 +137,7 @@ std::pair<RecoveryStats, PersistentRestoreStats> DbSystem::RecoverPersistent(
   std::unordered_map<PageId, Lsn> covered;
   ssd_manager_->RecoverPersistentState(horizon, ctx, &max_update_lsn, &covered,
                                        &pstats);
-  RecoveryManager recovery(&disk_manager_, &log_, disk_io_engine_.get());
+  RecoveryManager recovery(&disk_manager_, &log_);
   RecoveryStats stats = recovery.Recover(ctx, pstats.min_dirty_lsn, &covered);
   stats.records_truncated += static_cast<int64_t>(truncated);
   return {stats, pstats};

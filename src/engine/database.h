@@ -14,7 +14,6 @@
 #include "core/tac.h"
 #include "fault/fault_injecting_device.h"
 #include "fault/fault_plan.h"
-#include "io/async_io_engine.h"
 #include "sim/sim_executor.h"
 #include "storage/disk_manager.h"
 #include "storage/sim_device.h"
@@ -82,11 +81,6 @@ struct SystemConfig {
   // commodity part of the stack.
   bool inject_ssd_faults = false;
   FaultPlan ssd_fault_plan = FaultPlan::Healthy();
-  // Queue depth of the async I/O engine over the disk array (DESIGN.md §12):
-  // read-ahead, checkpoint drain, LC group cleaning and recovery prefetch
-  // submit through it. 0 disables the engine entirely — every consumer falls
-  // back to its serial call-and-wait path.
-  int io_queue_depth = 32;
 };
 
 class DbSystem {
@@ -103,8 +97,10 @@ class DbSystem {
   // Non-null iff config.inject_ssd_faults and the design uses an SSD.
   FaultInjectingDevice* ssd_fault() { return ssd_fault_device_.get(); }
   DiskManager& disk_manager() { return disk_manager_; }
-  // Null when config.io_queue_depth == 0.
-  AsyncIoEngine* disk_io_engine() { return disk_io_engine_.get(); }
+  // The async I/O engine over the disk array (DESIGN.md §12), owned by the
+  // disk manager: read-ahead, checkpoint drain, LC group cleaning, scrub
+  // repair and recovery prefetch submit through it. Never null.
+  AsyncIoEngine* disk_io_engine() { return &disk_manager_.engine(); }
   LogManager& log() { return log_; }
   SsdManager& ssd_manager() { return *ssd_manager_; }
   BufferPool& buffer_pool() { return *buffer_pool_; }
@@ -144,7 +140,6 @@ class DbSystem {
   std::unique_ptr<FaultInjectingDevice> ssd_fault_device_;
   std::unique_ptr<SimDevice> log_device_;
   DiskManager disk_manager_;
-  std::unique_ptr<AsyncIoEngine> disk_io_engine_;
   LogManager log_;
   std::unique_ptr<SsdManager> ssd_manager_;
   std::unique_ptr<BufferPool> buffer_pool_;

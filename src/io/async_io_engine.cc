@@ -273,19 +273,6 @@ IoToken AsyncIoEngine::Submit(const AsyncIoRequest& req, IoContext& ctx) {
   return token;
 }
 
-IoToken AsyncIoEngine::TrySubmit(const AsyncIoRequest& req, IoContext& ctx) {
-  {
-    EngineLock lock(mu_);
-    if (static_cast<int>(staged_.size()) + static_cast<int>(staged_low_.size()) +
-            static_cast<int>(issued_.size()) + issuing_ >=
-        2 * options_.queue_depth) {
-      ++stats_.queue_full_waits;
-      return 0;
-    }
-  }
-  return Submit(req, ctx);
-}
-
 std::vector<IoCompletion> AsyncIoEngine::Reap(int max, Time deadline,
                                               IoContext& ctx) {
   std::vector<IoCompletion> out;

@@ -16,8 +16,7 @@
 
 namespace turbobp {
 
-// Ticket for one submitted request; 0 is never issued (TrySubmit returns it
-// to signal backpressure).
+// Ticket for one submitted request; 0 is never issued.
 using IoToken = uint64_t;
 
 // One harvested completion. `result.time` is the virtual-time instant the
@@ -148,14 +147,6 @@ class AsyncIoEngine {
   // callbacks, which Clang's analysis cannot model; the structural checker
   // (io-under-latch + async-io rules) covers these paths instead.
   IoToken Submit(const AsyncIoRequest& req, IoContext& ctx)
-      TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
-                       TURBOBP_LATCH_CAP(LatchClass::kBufferFrame),
-                       TURBOBP_LATCH_CAP(LatchClass::kSsdPartition))
-          TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
-
-  // Like Submit, but returns 0 instead of queueing behind a full submission
-  // queue (backpressure for advisory work such as read-ahead).
-  IoToken TrySubmit(const AsyncIoRequest& req, IoContext& ctx)
       TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
                        TURBOBP_LATCH_CAP(LatchClass::kBufferFrame),
                        TURBOBP_LATCH_CAP(LatchClass::kSsdPartition))

@@ -5,21 +5,28 @@
 #include <cstdint>
 #include <span>
 
+#include "io/async_io_engine.h"
 #include "storage/io_context.h"
 #include "storage/storage_device.h"
 
 namespace turbobp {
 
 // The disk manager of Figure 1: mediates all page I/O between the buffer
-// manager and the database volume (typically a StripedDiskArray), issuing
-// one device request per call — including multi-page vectored reads, which
-// the read-ahead path relies on ("the disk can handle a single large I/O
-// request more efficiently than multiple small I/O requests", Section 3.3.3).
+// manager and the database volume (typically a StripedDiskArray).
+//
+// Two routes reach the device. Single-page foreground reads and writes
+// (fetch misses, evictions, redo writes) and the warm-up expansion read are
+// blocking calls below, one device request each. Multi-page and background
+// I/O — read-ahead with the Section 3.3.3 trimming, the checkpoint drain,
+// LC group cleaning, scrub repair and redo prefetch — is submitted to the
+// async engine this manager owns (DESIGN.md §12), which is built over the
+// same device, so no consumer can pair a pool with an engine over another
+// volume.
 //
 // The disk array is the durable home of every page, so transient device
-// errors are absorbed here with a bounded retry/backoff loop; a request
-// that still fails is surfaced to the caller, for whom a dead disk array
-// (unlike a dead SSD cache) is fatal.
+// errors are absorbed with a bounded retry/backoff (here, and per request
+// in the engine); a request that still fails is surfaced to the caller,
+// for whom a dead disk array (unlike a dead SSD cache) is fatal.
 class DiskManager {
  public:
   // Transient-error policy: retry up to kRetryLimit attempts, charging
@@ -27,13 +34,17 @@ class DiskManager {
   static constexpr int kRetryLimit = 3;
   static constexpr Time kRetryBackoff = Millis(1);
 
-  explicit DiskManager(StorageDevice* data);
+  explicit DiskManager(StorageDevice* data,
+                       const AsyncIoEngine::Options& engine_options = {});
   DiskManager(const DiskManager&) = delete;
   DiskManager& operator=(const DiskManager&) = delete;
 
   uint32_t page_bytes() const { return data_->page_bytes(); }
   uint64_t num_pages() const { return data_->num_pages(); }
   StorageDevice* device() { return data_; }
+  // The async submit/reap engine over device(). Its requests bypass the
+  // counters below; AsyncIoEngine::stats() reports them.
+  AsyncIoEngine& engine() { return engine_; }
 
   // Blocking single-page read; advances ctx.now to completion. Like every
   // entry point below: never call with a buffer-pool shard or frame latch
@@ -48,13 +59,9 @@ class DiskManager {
       TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
                        TURBOBP_LATCH_CAP(LatchClass::kBufferFrame));
 
-  // Asynchronous writes: consume device time, return the completion time,
-  // leave ctx.now unchanged.
+  // Asynchronous write: consumes device time, returns the completion time,
+  // leaves ctx.now unchanged.
   IoResult WritePage(PageId pid, std::span<const uint8_t> data, IoContext& ctx)
-      TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
-                       TURBOBP_LATCH_CAP(LatchClass::kBufferFrame));
-  IoResult WritePages(PageId first, uint32_t n, std::span<const uint8_t> data,
-                      IoContext& ctx)
       TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
                        TURBOBP_LATCH_CAP(LatchClass::kBufferFrame));
 
@@ -71,14 +78,11 @@ class DiskManager {
   int64_t pages_read() const {
     return pages_read_.load(std::memory_order_relaxed);
   }
-  // Contiguous multi-page runs (n > 1) issued as ONE vectored device
-  // request — the paper's trimming optimisation, counted per request rather
-  // than per page so the accounting reflects what the device actually saw.
+  // Blocking multi-page reads (n > 1), each ONE vectored device request,
+  // counted per request rather than per page. Only the buffer pool's
+  // warm-up expansion issues them; read-ahead goes through engine().
   int64_t multi_page_reads() const {
     return multi_page_reads_.load(std::memory_order_relaxed);
-  }
-  int64_t pages_written() const {
-    return pages_written_.load(std::memory_order_relaxed);
   }
   int64_t io_retries() const {
     return io_retries_.load(std::memory_order_relaxed);
@@ -89,13 +93,13 @@ class DiskManager {
 
  private:
   StorageDevice* data_;
+  AsyncIoEngine engine_;
   // Relaxed atomics: bumped concurrently once the buffer pool issues reads
   // and writes outside its shard latches.
   std::atomic<int64_t> reads_{0};
   std::atomic<int64_t> writes_{0};
   std::atomic<int64_t> pages_read_{0};
   std::atomic<int64_t> multi_page_reads_{0};
-  std::atomic<int64_t> pages_written_{0};
   std::atomic<int64_t> io_retries_{0};
   std::atomic<int64_t> io_errors_{0};
 };

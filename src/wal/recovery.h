@@ -9,8 +9,6 @@
 
 namespace turbobp {
 
-class AsyncIoEngine;
-
 struct RecoveryStats {
   Lsn redo_start_lsn = kInvalidLsn;
   int64_t records_scanned = 0;
@@ -35,18 +33,16 @@ struct RecoveryStats {
 // is newer than the on-disk page LSN.
 class RecoveryManager {
  public:
-  // `io_engine`, when provided, batches the redo pass's page reads: the
+  // The redo pass batches its page reads through disk->engine(): the
   // records to replay are grouped into windows of distinct pages, each
   // window's pages are prefetched through the engine's deep queue (reads of
   // one page are also deduplicated within a window), and redo applies from
   // the prefetched images. Page writes stay synchronous, preserving the
   // per-record "recovery/redo-apply" idempotence edge.
-  RecoveryManager(DiskManager* disk, LogManager* log,
-                  AsyncIoEngine* io_engine = nullptr);
+  RecoveryManager(DiskManager* disk, LogManager* log);
 
   // Replays the durable log from the latest completed checkpoint (or from
-  // the beginning if none). Reads and writes pages directly through the
-  // disk manager. Returns stats; ctx carries timing.
+  // the beginning if none). Returns stats; ctx carries timing.
   //
   // `redo_start_override` forces an earlier redo start (a warm restart must
   // cover restored dirty SSD frames whose updates predate the last
@@ -64,7 +60,7 @@ class RecoveryManager {
 
   DiskManager* disk_;
   LogManager* log_;
-  AsyncIoEngine* io_engine_;
+  AsyncIoEngine* io_engine_;  // disk_->engine()
 };
 
 }  // namespace turbobp

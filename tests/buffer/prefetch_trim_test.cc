@@ -1,7 +1,9 @@
 // The multi-page read-ahead path with an SSD cache attached (Section
 // 3.3.3): leading/trailing SSD-resident pages are trimmed and served from
-// the SSD, the middle is one disk request, and LC's newer-than-disk pages
-// are re-read from the SSD even when they sit mid-request.
+// the SSD, the middle goes to the disk's async engine as one request per
+// page (which the engine coalesces into vectored device ops), and LC's
+// newer-than-disk pages are re-read from the SSD even when they sit
+// mid-request.
 
 #include <gtest/gtest.h>
 
@@ -89,10 +91,10 @@ TEST_F(PrefetchTrimTest, LeadingAndTrailingSsdPagesAreTrimmed) {
   ctx.executor = executor_.get();
   pool_->PrefetchRange(100, 8, ctx);
   // Pages 100,101 (leading) and 107 (trailing) came from the SSD; the
-  // middle 102..106 was one disk request of 5 pages.
+  // middle 102..106 went to the engine, one request per page.
   EXPECT_EQ(pool_->stats().ssd_hits, 3);
-  EXPECT_EQ(disk_->reads_issued(), 1);
-  EXPECT_EQ(disk_->pages_read(), 5);
+  EXPECT_EQ(disk_->engine().stats().submitted, 5);
+  EXPECT_EQ(disk_->reads_issued(), 0);
   for (PageId p = 100; p < 108; ++p) EXPECT_TRUE(pool_->Contains(p));
 }
 
@@ -102,10 +104,10 @@ TEST_F(PrefetchTrimTest, MiddleSsdCleanPagesComeFromTheDiskRead) {
   ctx.now = Seconds(1);
   ctx.executor = executor_.get();
   pool_->PrefetchRange(100, 8, ctx);
-  // No splitting: one 8-page disk read; the SSD copy was ignored (clean,
-  // identical content).
-  EXPECT_EQ(disk_->reads_issued(), 1);
-  EXPECT_EQ(disk_->pages_read(), 8);
+  // No splitting: all 8 pages went to the engine as one contiguous run; the
+  // SSD copy was ignored (clean, identical content).
+  EXPECT_EQ(disk_->engine().stats().submitted, 8);
+  EXPECT_EQ(disk_->reads_issued(), 0);
   EXPECT_EQ(pool_->stats().ssd_hits, 0);
 }
 

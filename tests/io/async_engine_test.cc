@@ -244,26 +244,6 @@ TEST(AsyncEngineTest, MaxCoalescedPagesBoundsTheBatch) {
 
 // ----------------------------------------------------------- backpressure
 
-TEST(AsyncEngineTest, TrySubmitBackpressuresAtTwiceTheRingDepth) {
-  MemDevice dev(64, kPage);
-  AsyncIoEngine engine(&dev, {.queue_depth = 2, .coalesce = false});
-  IoContext ctx = Ctx();
-  auto data = Fill(0x55);
-  // Unreaped completions pin ring slots; staged requests queue behind them.
-  // 2 issued + 2 staged = 4 outstanding = the TrySubmit bound.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_NE(engine.TrySubmit(WriteReq(PageId(i * 7), data), ctx), 0u)
-        << "submission " << i;
-  }
-  EXPECT_EQ(engine.TrySubmit(WriteReq(60, data), ctx), 0u);
-  EXPECT_GE(engine.stats().queue_full_waits, 1);
-  EXPECT_EQ(engine.stats().submitted, 4);
-  engine.Drain(ctx);
-  // Capacity frees once completions are reaped.
-  EXPECT_NE(engine.TrySubmit(WriteReq(60, data), ctx), 0u);
-  engine.Drain(ctx);
-}
-
 TEST(AsyncEngineTest, SubmitNeverDropsWhenTheQueueIsFull) {
   MemDevice dev(64, kPage);
   AsyncIoEngine engine(&dev, {.queue_depth = 1, .coalesce = false});

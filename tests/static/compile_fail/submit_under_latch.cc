@@ -2,7 +2,7 @@
 //
 // An AsyncIoEngine submission is issued while a BufferPool shard latch is
 // held. Engine completion callbacks re-enter the frame state machine and
-// take shard latches on a fresh stack, so Submit/TrySubmit/Reap/Drain under
+// take shard latches on a fresh stack, so Submit/Reap/Drain under
 // kBufferPool / kBufferFrame / kSsdPartition deadlocks (DESIGN.md §12
 // completion-context rules). The checker must flag both engine calls; ctest
 // asserts a non-zero exit (WILL_FAIL).
