@@ -59,6 +59,7 @@ Outcome RunOne(double lambda, bool take_checkpoint, Restart restart) {
     out.stats = stats;
     out.restored = pstats.restored;
   }
+  TURBOBP_CHECK_OK(out.stats.status);
   return out;
 }
 

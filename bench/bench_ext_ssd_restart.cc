@@ -114,9 +114,12 @@ Outcome RunVariant(Mode mode, const TpccConfig& config, uint64_t db_pages) {
   system.Crash();
   IoContext rctx = system.MakeContext();
   if (mode == Mode::kClassic) {
-    system.Recover(rctx);  // cold SSD, as in all published designs
+    // Cold SSD, as in all published designs.
+    TURBOBP_CHECK_OK(system.Recover(rctx).status);
   } else {
-    out.pstats = system.RecoverPersistent(rctx).second;
+    const auto [stats, pstats] = system.RecoverPersistent(rctx);
+    TURBOBP_CHECK_OK(stats.status);
+    out.pstats = pstats;
     out.frames_after_restart = out.pstats.restored;
   }
   system.executor().RunUntil(std::max(rctx.now, system.executor().now()));

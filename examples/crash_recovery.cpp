@@ -87,6 +87,10 @@ int main() {
 
   IoContext rctx = system.MakeContext();
   const RecoveryStats stats = system.Recover(rctx);
+  if (!stats.status.ok()) {
+    std::printf("recovery failed: %s\n", stats.status.ToString().c_str());
+    return 1;
+  }
   std::printf("recovery: redo from lsn %llu, %lld records scanned, "
               "%lld applied, %lld already on disk, %.1f virtual ms\n",
               (unsigned long long)stats.redo_start_lsn,

@@ -82,14 +82,7 @@ DbSystem::DbSystem(const SystemConfig& config)
       buffer_pool_(std::make_unique<BufferPool>(
           config_.bp_options, &disk_manager_, &log_, ssd_manager_.get())),
       checkpoint_(std::make_unique<CheckpointManager>(
-          buffer_pool_.get(), ssd_manager_.get(), &log_, &executor_)) {
-  if (config_.persistent_ssd_cache) {
-    // RecoverPersistent scans the full durable log to judge restored SSD
-    // frames; checkpoint-driven WAL prefix truncation would hide updates
-    // older than the last checkpoint from that scan.
-    checkpoint_->set_wal_truncation(false);
-  }
-}
+          buffer_pool_.get(), ssd_manager_.get(), &log_, &executor_)) {}
 
 void DbSystem::Crash() {
   // The engine's submission queue is volatile: queued-but-unissued requests
@@ -119,28 +112,23 @@ RecoveryStats DbSystem::Recover(IoContext& ctx) {
 std::pair<RecoveryStats, PersistentRestoreStats> DbSystem::RecoverPersistent(
     IoContext& ctx) {
   PersistentRestoreStats pstats;
-  // Prune the torn log tail FIRST: the durable horizon used to judge SSD
-  // frames must already exclude records that did not survive the crash
-  // (otherwise a frame could be admitted against an LSN that is about to be
-  // truncated away). Recover() repeats the call idempotently.
-  const size_t truncated = log_.TruncateTornTail();
-  const Lsn horizon = log_.durable_lsn();
-  // Per-page highest durable update LSN: proves whether a recovered frame
-  // is still the newest version of its page (in-memory log scan, no I/O).
+  // One pass over the log device yields both the durable horizon used to
+  // judge SSD frames (the torn tail is already excluded: the scan stops at
+  // its first damaged record) and the per-page highest durable update LSN,
+  // which proves whether a recovered frame is still the newest version of
+  // its page.
   std::unordered_map<PageId, Lsn> max_update_lsn;
-  for (const LogRecord& rec : log_.records_for_recovery()) {
-    if (!log_.IsDurable(rec.lsn)) break;
-    if (rec.type != LogRecordType::kUpdate) continue;
-    Lsn& maxl = max_update_lsn[rec.page_id];
-    maxl = std::max(maxl, rec.lsn);
-  }
+  const Lsn horizon =
+      ScanLogDevice(log_device_.get(), [&](const LogRecord& rec) {
+        if (rec.type != LogRecordType::kUpdate) return;
+        Lsn& maxl = max_update_lsn[rec.page_id];
+        maxl = std::max(maxl, rec.lsn);
+      }).last_lsn;
   std::unordered_map<PageId, Lsn> covered;
   ssd_manager_->RecoverPersistentState(horizon, ctx, &max_update_lsn, &covered,
                                        &pstats);
   RecoveryManager recovery(&disk_manager_, &log_);
-  RecoveryStats stats = recovery.Recover(ctx, pstats.min_dirty_lsn, &covered);
-  stats.records_truncated += static_cast<int64_t>(truncated);
-  return {stats, pstats};
+  return {recovery.Recover(ctx, pstats.min_dirty_lsn, &covered), pstats};
 }
 
 Database::Database(DbSystem* system) : system_(system) {

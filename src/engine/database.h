@@ -117,14 +117,15 @@ class DbSystem {
   }
 
   // Crash simulation: drops the buffer pool (losing un-flushed dirty pages)
-  // and truncates the log to its durable prefix. Device contents survive.
+  // and the log's unflushed tail. Device contents survive.
   void Crash();
 
   // Redo-only restart recovery; returns its stats.
   RecoveryStats Recover(IoContext& ctx);
 
   // Restart recovery for the persistent SSD cache (persistent_ssd_cache):
-  // prunes the torn log tail, recovers the SSD metadata journal, reconciles
+  // scans the log device for its durable end, recovers the SSD metadata
+  // journal, reconciles
   // every recovered mapping against the WAL durable horizon (frames whose
   // LSN exceeds it are never re-attached), re-attaches the survivors and
   // runs redo with restored dirty frames covered. Falls back to plain

@@ -47,11 +47,12 @@ const char* ToString(SsdRestartFault fault);
 //
 // Crashes are simulated by snapshot, not by interrupting control flow: the
 // crash-point observer captures the durable state (per-spindle disk
-// contents + the log's durable prefix) at the crash instant while the
-// original run continues. Torn-tail mode additionally materializes the
-// first *non-durable* log record with a corrupted body and a stale
-// checksum — the partially-written block an interrupted log flush leaves
-// behind — which recovery must detect and truncate.
+// contents + the log device's contents) at the crash instant while the
+// original run continues. The oracle's horizon is the last intact record on
+// the captured log device. Torn-tail mode additionally tears the log's final
+// write — the first record of a flush still in flight, or else a damaged
+// record where the next flush would start — which recovery must detect and
+// stop before.
 struct CrashHarnessOptions {
   SsdDesign design = SsdDesign::kNoSsd;
   uint64_t seed = 1;

@@ -26,7 +26,7 @@ class CrashPointObserver {
   // engine latches held (the WAL latch at wal/* points, the buffer-pool
   // latch at bp/* points, a partition latch at ssd/* points). The observer
   // must only capture state through lock-free accessors (e.g.
-  // LogManager::SnapshotForCrash) or latches ordered after the holder's
+  // LogManager::durable_lsn) or latches ordered after the holder's
   // class — it must never re-enter the engine.
   virtual void OnCrashPoint(const char* name) = 0;
 };

@@ -24,6 +24,7 @@
 #include "storage/striped_array.h"  // 8-spindle simulated disk array
 #include "wal/checkpoint.h"         // sharp checkpoints
 #include "wal/log_manager.h"        // write-ahead log
+#include "wal/log_record.h"         // on-device log format and reader
 #include "wal/recovery.h"           // redo-only restart recovery
 #include "workload/driver.h"        // multi-client benchmark driver
 #include "workload/tpcc.h"          // TPC-C-style workload

@@ -100,13 +100,6 @@ Time CheckpointManager::RunCheckpoint(IoContext& ctx) {
   stats_.max_duration = std::max(stats_.max_duration, duration);
   stats_.last_checkpoint_lsn = begin_lsn;
   completed_.push_back(begin_lsn);
-  if (wal_truncation_) {
-    // The checkpoint's commit edge passed: recovery starts at this begin
-    // record, so the buffered copies below it (durable by construction —
-    // FlushAllDirty forced the log through every flushed page's LSN, and
-    // the end-record flush covered the rest) are dead weight. Release them.
-    log_->TruncatePrefix(begin_lsn);
-  }
   AuditAtCheckpointBoundary(pool_, ssd_, "end");
   return end;
 }

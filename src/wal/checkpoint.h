@@ -52,16 +52,6 @@ class CheckpointManager {
   // whose end record is durable).
   const std::vector<Lsn>& completed() const { return completed_; }
 
-  // WAL in-memory prefix truncation: after a checkpoint completes, buffered
-  // log records below its begin-LSN (all durable by the checkpoint's commit
-  // edge) are released — recovery never replays below the last completed
-  // checkpoint, so retaining them only grows memory without bound on long
-  // threaded soaks. Default on; DbSystem turns it off for the persistent
-  // SSD cache, whose warm restart scans the full durable log to build a
-  // per-page max-update-LSN map.
-  void set_wal_truncation(bool on) { wal_truncation_ = on; }
-  bool wal_truncation() const { return wal_truncation_; }
-
   // Negative-test backdoor (crash harness): deliberately SKIP the LC
   // SSD-dirty drain while still writing the end-checkpoint record — the
   // WAL-compliance bug the torture harness must be able to catch. Never set
@@ -79,7 +69,6 @@ class CheckpointManager {
   LogManager* log_;
   SimExecutor* executor_;
   bool periodic_ = false;
-  bool wal_truncation_ = true;
   bool skip_ssd_flush_for_test_ = false;
   CheckpointStats stats_;
   std::vector<Lsn> completed_;

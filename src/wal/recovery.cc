@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -16,22 +17,20 @@ RecoveryManager::RecoveryManager(DiskManager* disk, LogManager* log)
   TURBOBP_CHECK(log != nullptr);
 }
 
-Lsn RecoveryManager::FindRedoStart() const {
-  // Scan backwards for the latest begin-checkpoint whose end record is
-  // durable: everything before it is already on disk (sharp checkpoints).
-  // records_for_recovery(): recovery runs before the system opens, with no
-  // concurrent appenders (the documented latch-free fast path).
-  const auto& records = log_->records_for_recovery();
-  bool saw_end = false;
-  for (auto it = records.rbegin(); it != records.rend(); ++it) {
-    if (!log_->IsDurable(it->lsn)) continue;
-    if (it->type == LogRecordType::kEndCheckpoint) {
-      saw_end = true;
-    } else if (it->type == LogRecordType::kBeginCheckpoint && saw_end) {
-      return it->lsn;
+Lsn RecoveryManager::FindRedoStart(LogScan* scan) const {
+  // The latest begin-checkpoint that precedes a durable end record:
+  // everything before it is already on disk (sharp checkpoints). A begin
+  // with no end after it is a checkpoint that never completed.
+  Lsn latest_begin = kInvalidLsn;
+  Lsn redo_start = kInvalidLsn;
+  *scan = ScanLogDevice(log_->device(), [&](const LogRecord& rec) {
+    if (rec.type == LogRecordType::kBeginCheckpoint) {
+      latest_begin = rec.lsn;
+    } else if (rec.type == LogRecordType::kEndCheckpoint) {
+      redo_start = latest_begin;
     }
-  }
-  return kInvalidLsn;
+  });
+  return redo_start;
 }
 
 RecoveryStats RecoveryManager::Recover(
@@ -39,12 +38,14 @@ RecoveryStats RecoveryManager::Recover(
     const std::unordered_map<PageId, Lsn>* covered_by_ssd) {
   RecoveryStats stats;
   const Time start = ctx.now;
-  // Torn-tail hardening: a crash mid-flush can leave the final log block
-  // partially written. Per-record checksums find the first damaged record
-  // and the log is truncated there — those records were never acknowledged
-  // durable to any client, so dropping them is the correct recovery.
-  stats.records_truncated = static_cast<int64_t>(log_->TruncateTornTail());
-  stats.redo_start_lsn = FindRedoStart();
+  // The device scan ends at the first record whose LSN breaks continuity or
+  // whose CRC fails. A torn final block therefore ends the log at its first
+  // damaged record: those records were never acknowledged durable to any
+  // client, so leaving them out is the correct recovery.
+  LogScan scan;
+  stats.redo_start_lsn = FindRedoStart(&scan);
+  stats.torn_tail = scan.torn;
+  log_->ResumeFrom(scan);
   // The override can only move redo EARLIER. kInvalidLsn from FindRedoStart
   // means "no completed checkpoint: scan from the very beginning" — the
   // earliest possible start, which no override may narrow. (A restored-SSD
@@ -55,32 +56,18 @@ RecoveryStats RecoveryManager::Recover(
       redo_start_override < stats.redo_start_lsn) {
     stats.redo_start_lsn = redo_start_override;
   }
+  // A wrap of the log device may have overwritten the records redo needs.
+  const Lsn needed =
+      stats.redo_start_lsn == kInvalidLsn ? Lsn{1} : stats.redo_start_lsn;
+  if (scan.records > 0 && scan.first_lsn > needed) {
+    stats.status = Status::Corruption(
+        "log device wrapped over the redo start: LSN " +
+        std::to_string(needed) + " needed, oldest on device " +
+        std::to_string(scan.first_lsn));
+    return stats;
+  }
 
   const uint32_t page_bytes = disk_->page_bytes();
-
-  // Filter pass (pure, no I/O): decide which records will enter redo and do
-  // the scan bookkeeping. Separating it from the apply pass lets the
-  // prefetch below see each window's page set up front.
-  std::vector<const LogRecord*> todo;
-  for (const LogRecord& rec : log_->records_for_recovery()) {
-    if (!log_->IsDurable(rec.lsn)) break;  // torn tail: stop at first gap
-    if (stats.redo_start_lsn != kInvalidLsn && rec.lsn < stats.redo_start_lsn) {
-      continue;
-    }
-    if (rec.type != LogRecordType::kUpdate) continue;
-    ++stats.records_scanned;
-    if (covered_by_ssd != nullptr) {
-      const auto it = covered_by_ssd->find(rec.page_id);
-      if (it != covered_by_ssd->end() && rec.lsn <= it->second) {
-        // A restored (dirty) SSD copy already contains this update; the
-        // cleaner will bring the disk forward later, exactly as if the
-        // crash had never happened.
-        ++stats.records_skipped_ssd;
-        continue;
-      }
-    }
-    todo.push_back(&rec);
-  }
 
   // Applies one record to the page image in `buf` and, if the redo test
   // passes, writes it back synchronously (the "recovery/redo-apply"
@@ -117,21 +104,12 @@ RecoveryStats RecoveryManager::Recover(
   // coherence rule that makes caching safe.
   const size_t window =
       static_cast<size_t>(io_engine_->queue_depth()) * 2;
+  std::vector<LogRecord> pending;  // the window's records, in LSN order
   std::unordered_map<PageId, std::vector<uint8_t>> cache;
-  size_t i = 0;
-  while (i < todo.size()) {
-    cache.clear();
+  auto run_window = [&] {
     std::vector<PageId> pids;
-    size_t j = i;
-    while (j < todo.size()) {
-      const PageId pid = todo[j]->page_id;
-      if (!cache.contains(pid)) {
-        if (pids.size() == window) break;
-        cache.emplace(pid, std::vector<uint8_t>(page_bytes));
-        pids.push_back(pid);
-      }
-      ++j;
-    }
+    pids.reserve(cache.size());
+    for (const auto& [pid, image] : cache) pids.push_back(pid);
     std::sort(pids.begin(), pids.end());
     for (const PageId pid : pids) {
       AsyncIoRequest req;
@@ -145,8 +123,33 @@ RecoveryStats RecoveryManager::Recover(
     }
     ctx.Wait(io_engine_->Drain(ctx));
     stats.pages_read += static_cast<int64_t>(pids.size());
-    for (; i < j; ++i) apply(*todo[i], cache[todo[i]->page_id]);
-  }
+    for (const LogRecord& rec : pending) apply(rec, cache[rec.page_id]);
+    pending.clear();
+    cache.clear();
+  };
+
+  // Second pass over the device: the same records, in the same order, up to
+  // the same durable end as the first.
+  ScanLogDevice(log_->device(), [&](const LogRecord& rec) {
+    if (rec.lsn < needed || rec.type != LogRecordType::kUpdate) return;
+    ++stats.records_scanned;
+    if (covered_by_ssd != nullptr) {
+      const auto it = covered_by_ssd->find(rec.page_id);
+      if (it != covered_by_ssd->end() && rec.lsn <= it->second) {
+        // A restored (dirty) SSD copy already contains this update; the
+        // cleaner will bring the disk forward later, exactly as if the
+        // crash had never happened.
+        ++stats.records_skipped_ssd;
+        return;
+      }
+    }
+    if (!cache.contains(rec.page_id)) {
+      if (cache.size() == window) run_window();
+      cache.emplace(rec.page_id, std::vector<uint8_t>(page_bytes));
+    }
+    pending.push_back(rec);
+  });
+  if (!pending.empty()) run_window();
   stats.elapsed = ctx.now - start;
   return stats;
 }

@@ -3,6 +3,7 @@
 
 #include <unordered_map>
 
+#include "common/status.h"
 #include "common/types.h"
 #include "storage/disk_manager.h"
 #include "wal/log_manager.h"
@@ -10,12 +11,15 @@
 namespace turbobp {
 
 struct RecoveryStats {
+  // kCorruption when the log device no longer holds the redo start (a wrap
+  // overwrote it): nothing is replayed then.
+  Status status;
   Lsn redo_start_lsn = kInvalidLsn;
   int64_t records_scanned = 0;
   int64_t records_applied = 0;
   int64_t records_skipped_lsn = 0;  // page already newer (redo test failed)
   int64_t records_skipped_ssd = 0;  // covered by a restored SSD copy
-  int64_t records_truncated = 0;    // torn-tail records pruned before redo
+  bool torn_tail = false;  // the log scan stopped at a damaged record
   int64_t pages_read = 0;
   int64_t pages_written = 0;
   Time elapsed = 0;
@@ -29,8 +33,10 @@ struct RecoveryStats {
 // restored dirty frames in as `redo_start_override` and `covered_by_ssd`.
 // The sharp checkpoint guarantees the disk is current as of the last
 // completed checkpoint, apart from what such restored frames cover; this
-// pass replays the durable log tail, applying each update record whose LSN
-// is newer than the on-disk page LSN.
+// pass reads the log device back (ScanLogDevice) and replays the durable
+// log tail, applying each update record whose LSN is newer than the
+// on-disk page LSN. The log manager then resumes appending where the
+// durable log ends.
 class RecoveryManager {
  public:
   // The redo pass batches its page reads through disk->engine(): the
@@ -42,7 +48,9 @@ class RecoveryManager {
   RecoveryManager(DiskManager* disk, LogManager* log);
 
   // Replays the durable log from the latest completed checkpoint (or from
-  // the beginning if none). Returns stats; ctx carries timing.
+  // LSN 1 if none). Returns stats; ctx carries timing. If the redo start is
+  // no longer on the log device, returns kCorruption in stats.status and
+  // applies nothing.
   //
   // `redo_start_override` forces an earlier redo start (a warm restart must
   // cover restored dirty SSD frames whose updates predate the last
@@ -55,8 +63,9 @@ class RecoveryManager {
       const std::unordered_map<PageId, Lsn>* covered_by_ssd = nullptr);
 
  private:
-  // Latest begin-checkpoint LSN whose matching end record is durable.
-  Lsn FindRedoStart() const;
+  // Latest begin-checkpoint LSN whose end record is on the device
+  // (kInvalidLsn if none), and where the device's log begins and ends.
+  Lsn FindRedoStart(LogScan* scan) const;
 
   DiskManager* disk_;
   LogManager* log_;

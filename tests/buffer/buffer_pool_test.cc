@@ -127,7 +127,14 @@ TEST_F(BufferPoolTest, WalRuleLogIsFlushedBeforeDirtyWrite) {
   }
   // Evicting the dirty page forced the log through its LSN.
   EXPECT_GT(log_->durable_lsn(), lsn_before);
-  EXPECT_GE(log_->durable_lsn(), log_->records_snapshot().back().lsn);
+  // The whole tail went out, and the device holds the update record.
+  EXPECT_EQ(log_->retained_records(), 0u);
+  std::vector<LogRecord> on_device;
+  ScanLogDevice(log_->device(),
+                [&](const LogRecord& rec) { on_device.push_back(rec); });
+  ASSERT_EQ(on_device.size(), 1u);
+  EXPECT_EQ(on_device[0].page_id, 7u);
+  EXPECT_EQ(on_device[0].lsn, log_->durable_lsn());
 }
 
 TEST_F(BufferPoolTest, NewPageIsBornDirtyAndNeverReadsDisk) {

@@ -1,17 +1,14 @@
-// Group commit, the latch-free-iteration bugfix, and checkpoint-driven log
-// truncation.
+// Group commit, the latch-free durable-LSN read, and the bounded log tail.
 //
-//  * ConcurrentAppendersWithSnapshotReader pins the records() race: before
-//    the fix, a reader iterating the record vector while appenders grow it
-//    dereferenced a reallocated buffer (TSan: heap-use-after-free /
-//    data race). records_snapshot() copies under the latch instead; four
-//    appender threads plus a spinning reader must come out clean.
+//  * ConcurrentAppendersWithLatchFreeReader: appenders and group commits run
+//    while a reader spins on durable_lsn(), which is read without the WAL
+//    latch; it must only ever move forward and stay behind current_lsn().
+//    The device then holds every record, in LSN order.
 //  * Group commit: concurrent CommitForce callers are batched by a leader —
 //    followers park and the device sees far fewer writes than commits.
-//  * TruncatePrefix bounds the buffered log: after a checkpoint the records
-//    below its redo horizon are released, while recovery and the torn-tail
-//    scan still see every record that matters (they run on the retained
-//    suffix; the durable device bytes are untouched).
+//  * The log device is the only durable copy: once a commit is forced the
+//    in-memory tail is empty, and recovery rebuilds the database from what
+//    the device holds.
 // Runs under TSan in CI (tsan-stress job).
 
 #include "wal/log_manager.h"
@@ -23,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/bplus_tree.h"
 #include "storage/mem_device.h"
 #include "workload/tpcc.h"
 
@@ -31,7 +29,7 @@ namespace {
 
 constexpr uint32_t kPage = 512;
 
-TEST(WalGroupCommitTest, ConcurrentAppendersWithSnapshotReader) {
+TEST(WalGroupCommitTest, ConcurrentAppendersWithLatchFreeReader) {
   MemDevice log_dev(1 << 14, kPage);
   LogManager log(&log_dev);
 
@@ -40,13 +38,12 @@ TEST(WalGroupCommitTest, ConcurrentAppendersWithSnapshotReader) {
   std::atomic<bool> stop{false};
 
   std::thread reader([&] {
+    Lsn prev = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      const std::vector<LogRecord> records = log.records_snapshot();
-      Lsn prev = 0;
-      for (const LogRecord& rec : records) {
-        ASSERT_GT(rec.lsn, prev);  // strictly increasing, no torn entries
-        prev = rec.lsn;
-      }
+      const Lsn durable = log.durable_lsn();
+      ASSERT_GE(durable, prev);  // durability never moves backwards
+      ASSERT_LT(durable, log.current_lsn());
+      prev = durable;
     }
   });
 
@@ -68,7 +65,14 @@ TEST(WalGroupCommitTest, ConcurrentAppendersWithSnapshotReader) {
   EXPECT_EQ(log.num_records(), kAppenders * kPerThread);
   IoContext ctx;
   log.CommitForce(ctx);
-  EXPECT_EQ(log.durable_lsn(), log.records_snapshot().back().lsn);
+  EXPECT_EQ(log.retained_records(), 0u);
+  Lsn prev = 0;
+  const LogScan scan = ScanLogDevice(&log_dev, [&](const LogRecord& rec) {
+    EXPECT_GT(rec.lsn, prev);
+    prev = rec.lsn;
+  });
+  EXPECT_EQ(scan.records, kAppenders * kPerThread);
+  EXPECT_EQ(scan.last_lsn, log.durable_lsn());
 }
 
 TEST(WalGroupCommitTest, LeaderBatchesFollowerFlushes) {
@@ -99,7 +103,8 @@ TEST(WalGroupCommitTest, LeaderBatchesFollowerFlushes) {
 
   EXPECT_EQ(log.num_records(),
             static_cast<int64_t>(rounds) * kThreads * kCommitsPerThread);
-  EXPECT_EQ(log.durable_lsn(), log.records_snapshot().back().lsn);
+  EXPECT_EQ(log.retained_records(), 0u);
+  EXPECT_EQ(ScanLogDevice(&log_dev).last_lsn, log.durable_lsn());
   // Batching evidence: followers parked behind an in-flight batch instead
   // of issuing their own device write. With 8 threads committing
   // back-to-back this must happen many times; zero waits would mean every
@@ -107,12 +112,13 @@ TEST(WalGroupCommitTest, LeaderBatchesFollowerFlushes) {
   EXPECT_GT(log.flush_waits(), 0);
 }
 
-// ------------------------------------------------------- truncation tests
+// ------------------------------------------------------- device log tests
 
-TEST(WalTruncationTest, CheckpointsBoundBufferedRecords) {
-  // A full system running TPC-C with periodic checkpoints must not retain
-  // the whole logical log in memory: each completed checkpoint releases the
-  // buffered records below its redo horizon.
+TEST(WalDeviceLogTest, TailEmptiesAtEachCommitAndRecoveryReadsTheDevice) {
+  // A full system running TPC-C with checkpoints off: nothing ever trims the
+  // log, yet the in-memory tail is empty after every forced commit — the
+  // log device holds the only durable copy — and recovery from that device
+  // alone replays every committed transaction.
   TpccConfig tpcc;
   tpcc.warehouses = 2;
   tpcc.row_scale = 0.01;
@@ -129,38 +135,26 @@ TEST(WalTruncationTest, CheckpointsBoundBufferedRecords) {
   TpccWorkload workload(&db, tpcc);
 
   IoContext ctx = system.MakeContext();
-  int64_t peak_retained = 0;
-  for (int round = 0; round < 4; ++round) {
-    for (int i = 0; i < 400; ++i) {
-      workload.RunTransaction(0, ctx);
-      system.executor().RunUntil(ctx.now);
-    }
-    peak_retained = std::max(
-        peak_retained, static_cast<int64_t>(system.log().retained_records()));
-    system.checkpoint().RunCheckpoint(ctx);
-    system.executor().RunUntil(ctx.now);
-  }
-
-  // The checkpoints truncated: the buffered suffix is (much) smaller than
-  // the logical log, and bounded by what one round appends rather than the
-  // whole run.
-  EXPECT_GT(system.log().records_truncated(), 0);
-  EXPECT_LT(static_cast<int64_t>(system.log().retained_records()),
-            system.log().num_records());
-  EXPECT_LE(static_cast<int64_t>(system.log().retained_records()),
-            peak_retained);
-
-  // Recovery still works off the retained suffix + durable device bytes:
-  // run past the last checkpoint (so redo has work), crash, recover, and
-  // the database must replay to a consistent state.
-  for (int i = 0; i < 200; ++i) {
+  for (int i = 0; i < 1200; ++i) {
     workload.RunTransaction(0, ctx);
     system.executor().RunUntil(ctx.now);
+    system.log().CommitForce(ctx);
+    ASSERT_EQ(system.log().retained_records(), 0u) << "transaction " << i;
   }
+  EXPECT_EQ(system.checkpoint().stats().checkpoints_taken, 0);
+  const int64_t logged = system.log().num_records();
+  EXPECT_GT(logged, 0);
+
   system.Crash();
   IoContext rctx = system.MakeContext(/*charge=*/false);
   const RecoveryStats rstats = system.Recover(rctx);
+  ASSERT_TRUE(rstats.status.ok()) << rstats.status.ToString();
+  EXPECT_FALSE(rstats.torn_tail);
+  EXPECT_EQ(rstats.redo_start_lsn, kInvalidLsn);  // no checkpoint: from LSN 1
   EXPECT_GT(rstats.records_applied + rstats.records_skipped_lsn, 0);
+  // Every record the run appended was forced, so the device holds them all.
+  EXPECT_EQ(system.log().num_records(), logged);
+
   HeapFile district = HeapFile::Attach(&db, "district");
   int64_t delta = 0;
   const int64_t init_next = workload.initial_orders_per_district() + 1;
@@ -177,65 +171,12 @@ TEST(WalTruncationTest, CheckpointsBoundBufferedRecords) {
     ASSERT_EQ(row.d_key, dk);
     delta += static_cast<int64_t>(row.next_o_id) - init_next;
   }
-  // Redo recovered every committed NewOrder's district bump.
+  // Redo recovered every committed NewOrder's district bump, and the
+  // new-order index is structurally whole.
   EXPECT_EQ(delta, workload.new_orders());
-}
-
-TEST(WalTruncationTest, TruncateKeepsTornTailDetectionCorrect) {
-  // Truncation drops only records at/below the redo horizon that are
-  // durable; the torn-tail scan operates on the retained suffix and must
-  // keep finding the crash frontier.
-  MemDevice log_dev(1 << 12, kPage);
-  LogManager log(&log_dev);
-  IoContext ctx;
-  for (int i = 0; i < 50; ++i) {
-    log.AppendUpdate(static_cast<uint64_t>(i), static_cast<PageId>(i % 8), 0, {});
-  }
-  log.CommitForce(ctx);  // all 50 durable
-  const std::vector<LogRecord> before = log.records_snapshot();
-  ASSERT_EQ(before.size(), 50u);
-  const Lsn horizon = before[30].lsn;  // keep the newest 20 records
-  const Lsn durable_before = log.durable_lsn();
-  log.TruncatePrefix(horizon);
-
-  EXPECT_EQ(log.records_truncated(), 30);
-  EXPECT_EQ(log.retained_records(), 20u);
-  EXPECT_EQ(log.num_records(), 50);              // logical count unaffected
-  EXPECT_EQ(log.durable_lsn(), durable_before);  // durability unaffected
-
-  // Appends continue with monotone LSNs after truncation.
-  const Lsn appended = log.AppendUpdate(1234, 3, 0, {});
-  log.CommitForce(ctx);
-  EXPECT_EQ(log.durable_lsn(), appended);
-  const auto records = log.records_snapshot();
-  ASSERT_FALSE(records.empty());
-  EXPECT_EQ(records.front().lsn, horizon);
-  EXPECT_EQ(records.back().lsn, appended);
-
-  // Un-flushed records above the horizon survive a crash-drop cycle with
-  // the same semantics as before truncation.
-  log.AppendUpdate(5678, 4, 0, {});
-  log.DropUnflushed();  // crash: the un-forced record is lost
-  EXPECT_EQ(log.durable_lsn(), appended);
-  EXPECT_EQ(log.records_snapshot().back().lsn, appended);
-}
-
-TEST(WalTruncationTest, TruncateAllRecordsThenAppend) {
-  MemDevice log_dev(1 << 12, kPage);
-  LogManager log(&log_dev);
-  IoContext ctx;
-  for (int i = 0; i < 10; ++i) {
-    log.AppendUpdate(static_cast<uint64_t>(i), 0, 0, {});
-  }
-  log.CommitForce(ctx);
-  log.TruncatePrefix(log.current_lsn());  // everything is below the horizon
-  EXPECT_EQ(log.retained_records(), 0u);
-  EXPECT_EQ(log.num_records(), 10);
-
-  const Lsn appended = log.AppendUpdate(42, 1, 0, {});
-  log.CommitForce(ctx);
-  EXPECT_EQ(log.durable_lsn(), appended);
-  EXPECT_EQ(log.records_snapshot().back().lsn, appended);
+  BPlusTree new_order = BPlusTree::Attach(&db, "new_order_idx");
+  EXPECT_EQ(new_order.CheckInvariants(rctx), new_order.num_entries());
+  EXPECT_GT(new_order.num_entries(), 0u);
 }
 
 }  // namespace
