@@ -117,7 +117,7 @@ void BufferPool::VerifyFrameChecksum(int32_t frame, PageId pid) const {
   if (h.page_id != pid && h.page_id != kInvalidPageId) {
     Panic(__FILE__, __LINE__, "device returned the wrong page");
   }
-  if (options_.verify_checksums && h.page_id == pid && !v.VerifyChecksum()) {
+  if (h.page_id == pid && !v.VerifyChecksum()) {
     Panic(__FILE__, __LINE__, "page checksum mismatch: stale or torn copy");
   }
 }
@@ -348,9 +348,9 @@ PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
 
   Status ssd_error;
   if (ssd_->TryReadPage(pid, FrameSpan(frame), ctx, &ssd_error)) {
+    // Already verified by the SSD manager (page id and checksum).
     StatCounters::Bump(counters_.ssd_hits);
     ++ctx.ssd_hits;
-    VerifyFrameChecksum(frame, pid);
     return FinishRead(sh, frame, pid, kind, ctx);
   }
   if (!ssd_error.ok()) {
@@ -500,7 +500,6 @@ void BufferPool::PrefetchRange(PageId first, uint32_t n, IoContext& ctx) {
     if (!ssd_->TryReadPage(ent.pid, FrameSpan(ent.frame), ctx)) return false;
     StatCounters::Bump(counters_.ssd_hits);
     ++ctx.ssd_hits;
-    VerifyFrameChecksum(ent.frame, ent.pid);
     FinishPrefetch(ent.frame, ent.pid, ctx);
     StatCounters::Bump(counters_.prefetch_pages);
     return true;
@@ -669,13 +668,10 @@ void BufferPool::EvictFrameLocked(Shard& sh, ShardLock& lock, int32_t frame,
   // (the DBMS is restarted between runs).
   if (!dirty) {
     StatCounters::Bump(counters_.evictions_clean);
-    if (ctx.charge) {
-      // Re-seal before offering the bytes to the SSD: a frame cleaned by a
-      // snapshot-based flush still carries its pre-seal in-frame checksum.
-      PageView v(FrameSpan(frame));
-      v.SealChecksum();
-      ssd_->OnEvictClean(pid, FrameSpan(frame), kind, ctx);
-    }
+    // A clean frame's checksum is already current: every path that leaves
+    // a frame clean verified or sealed it (device reads, FlushAllDirty's
+    // copy-back), so the SSD is offered the bytes as they are.
+    if (ctx.charge) ssd_->OnEvictClean(pid, FrameSpan(frame), kind, ctx);
   } else {
     StatCounters::Bump(counters_.evictions_dirty);
     PageView v(FrameSpan(frame));
@@ -772,6 +768,11 @@ Time BufferPool::FlushAllDirty(IoContext& ctx, bool for_checkpoint) {
         Shard& sh = ShardOfFrame(sp->frame);
         ShardLock lock = LockShard(sh);
         Frame& f = frames_[sp->frame];
+        // The frame stayed kWriting, so its payload still equals the
+        // snapshot's: take the snapshot's seal instead of computing it
+        // again, and the clean frame carries a current checksum.
+        PageView(FrameSpan(sp->frame)).header().checksum =
+            PageView(std::span<uint8_t>(sp->snapshot)).header().checksum;
         f.dirty = false;
         f.state.store(FrameState::kResident, std::memory_order_relaxed);
         --sh.transient;

@@ -110,7 +110,6 @@ class BufferPool {
     uint32_t page_bytes = 8192;
     // CPU charge for an in-memory page access.
     Time hit_cpu = Micros(2);
-    bool verify_checksums = true;
     // SQL Server 2008 R2 behaviour observed in Figure 8: while the pool has
     // free frames, every single-page read is expanded to an aligned
     // `expand_read_pages` read.

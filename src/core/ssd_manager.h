@@ -116,6 +116,12 @@ class SsdManager {
   // unless the SSD copy is newer than disk (then it must serve the read for
   // correctness, Section 3.3.2).
   //
+  // Verification contract: `out` is filled only with a copy whose header
+  // names `pid` and whose checksum verifies (an SSD frame that fails either
+  // is quarantined or retried, never served). The buffer pool relies on
+  // this and does not verify an SSD hit again, so every page read from a
+  // device is verified exactly once.
+  //
   // Returns false on any miss or refusal; the caller then reads from disk.
   // If `error` is non-null it distinguishes the one unservable case: the
   // SSD held the *only* current copy (a dirty LC frame) and that copy is

@@ -100,6 +100,17 @@ AuditReport InvariantAuditor::AuditBufferPool(const BufferPool& pool) {
                                         " (page " + PidStr(f.page_id) +
                                         ") is pinned");
         }
+        // Seal-once rule: a clean eviction offers the frame to the SSD
+        // without re-sealing it, so a resident clean frame that no client
+        // holds must carry a current checksum.
+        if (st == FrameState::kResident && !f.dirty && f.pin_count == 0) {
+          const PageView v(pool.FrameSpan(i));
+          if (v.header().page_id == f.page_id && !v.VerifyChecksum()) {
+            report.Add("pool.frames", "clean frame " + std::to_string(i) +
+                                          " (page " + PidStr(f.page_id) +
+                                          ") carries a stale checksum");
+          }
+        }
       } else {
         if (f.dirty) {
           report.Add("pool.frames",

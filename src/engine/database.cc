@@ -112,23 +112,20 @@ RecoveryStats DbSystem::Recover(IoContext& ctx) {
 std::pair<RecoveryStats, PersistentRestoreStats> DbSystem::RecoverPersistent(
     IoContext& ctx) {
   PersistentRestoreStats pstats;
-  // One pass over the log device yields both the durable horizon used to
+  // One analysis pass over the log device yields the durable horizon used to
   // judge SSD frames (the torn tail is already excluded: the scan stops at
-  // its first damaged record) and the per-page highest durable update LSN,
+  // its first damaged record), the per-page highest durable update LSN,
   // which proves whether a recovered frame is still the newest version of
-  // its page.
-  std::unordered_map<PageId, Lsn> max_update_lsn;
-  const Lsn horizon =
-      ScanLogDevice(log_device_.get(), [&](const LogRecord& rec) {
-        if (rec.type != LogRecordType::kUpdate) return;
-        Lsn& maxl = max_update_lsn[rec.page_id];
-        maxl = std::max(maxl, rec.lsn);
-      }).last_lsn;
-  std::unordered_map<PageId, Lsn> covered;
-  ssd_manager_->RecoverPersistentState(horizon, ctx, &max_update_lsn, &covered,
-                                       &pstats);
+  // its page, and the redo start. Redo reads the device once more.
   RecoveryManager recovery(&disk_manager_, &log_);
-  return {recovery.Recover(ctx, pstats.min_dirty_lsn, &covered), pstats};
+  const LogAnalysis analysis =
+      recovery.Analyze(/*track_max_update_lsn=*/true);
+  std::unordered_map<PageId, Lsn> covered;
+  ssd_manager_->RecoverPersistentState(analysis.scan.last_lsn, ctx,
+                                       &analysis.max_update_lsn, &covered,
+                                       &pstats);
+  return {recovery.Recover(ctx, pstats.min_dirty_lsn, &covered, &analysis),
+          pstats};
 }
 
 Database::Database(DbSystem* system) : system_(system) {

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <set>
-#include <unordered_map>
 #include <utility>
 
 #include "common/rng.h"
@@ -17,6 +17,7 @@
 #include "engine/heap_file.h"
 #include "fault/crash_point.h"
 #include "storage/page.h"
+#include "storage/page_image.h"
 #include "storage/striped_array.h"
 
 namespace turbobp {
@@ -56,15 +57,33 @@ SystemConfig MakeConfig(const CrashHarnessOptions& o) {
 struct CrashCapture {
   std::string point;
   int hit = 0;
-  StripedDiskArray::Content disk;
-  std::unordered_map<uint64_t, std::vector<uint8_t>> log;
+  std::vector<PageImage> disk;  // one snapshot per spindle
+  PageImage log;
   // The log's acknowledged-durable LSN at the crash instant. Records on the
   // log device beyond it belong to a flush still in flight: torn mode
   // damages the first of them.
   Lsn durable_lsn = kInvalidLsn;
-  bool has_ssd = false;
-  std::unordered_map<uint64_t, std::vector<uint8_t>> ssd;
+  std::optional<PageImage> ssd;
 };
+
+// Snapshots the surviving devices: copy-on-write, so a capture costs
+// O(chunks) and the run's later writes copy only the chunks they touch.
+CrashCapture CaptureDevices(DbSystem& system, std::string point, int hit,
+                            bool with_ssd) {
+  StripedDiskArray& disks = system.disk_array();
+  std::vector<PageImage> disk;
+  disk.reserve(disks.num_spindles());
+  for (int i = 0; i < disks.num_spindles(); ++i) {
+    disk.push_back(disks.spindle(i).store().image().Snapshot());
+  }
+  std::optional<PageImage> ssd;
+  if (with_ssd && system.ssd_device() != nullptr) {
+    ssd.emplace(system.ssd_device()->store().image().Snapshot());
+  }
+  return CrashCapture{std::move(point), hit, std::move(disk),
+                      system.log_device()->store().image().Snapshot(),
+                      system.log().durable_lsn(), std::move(ssd)};
+}
 
 // Captures crash snapshots at requested (point, hit) pairs. OnCrashPoint
 // runs synchronously inside the engine, possibly with latches held: it only
@@ -105,17 +124,8 @@ class SnapshotObserver : public CrashPointObserver {
 
  private:
   void Store(const char* name, int n) {
-    CrashCapture cap;
-    cap.point = name;
-    cap.hit = n;
-    cap.disk = system_->disk_array().SnapshotContent();
-    cap.log = system_->log_device()->SnapshotContent();
-    cap.durable_lsn = system_->log().durable_lsn();
-    if (snapshot_ssd_ && system_->ssd_device() != nullptr) {
-      cap.has_ssd = true;
-      cap.ssd = system_->ssd_device()->SnapshotContent();
-    }
-    captures_[{cap.point, n}] = std::move(cap);
+    captures_.emplace(std::make_pair(std::string(name), n),
+                      CaptureDevices(*system_, name, n, snapshot_ssd_));
   }
 
   DbSystem* system_;
@@ -452,14 +462,18 @@ RecoveredDb MakeRestoredSystem(const CrashHarnessOptions& o,
   out.system = std::make_unique<DbSystem>(MakeConfig(o));
   out.db = std::make_unique<Database>(out.system.get());
   out.db->RestoreCatalog(catalog);
-  out.system->disk_array().RestoreContent(cap.disk);
-  out.system->log_device()->RestoreContent(cap.log);
-  if (cap.has_ssd && out.system->ssd_device() != nullptr) {
-    out.system->ssd_device()->RestoreContent(cap.ssd);
+  StripedDiskArray& disks = out.system->disk_array();
+  TURBOBP_CHECK(cap.disk.size() == static_cast<size_t>(disks.num_spindles()));
+  for (int i = 0; i < disks.num_spindles(); ++i) {
+    disks.spindle(i).store().image().Restore(cap.disk[i]);
+  }
+  out.system->log_device()->store().image().Restore(cap.log);
+  if (cap.ssd.has_value() && out.system->ssd_device() != nullptr) {
+    out.system->ssd_device()->store().image().Restore(*cap.ssd);
   }
   if (torn) TearLogTail(out.system->log_device(), cap.durable_lsn);
   out.horizon = ScanLogDevice(out.system->log_device()).last_lsn;
-  if (cap.has_ssd && out.system->ssd_device() != nullptr) {
+  if (cap.ssd.has_value() && out.system->ssd_device() != nullptr) {
     out.ssd_fault_armed =
         ApplyRestartFault(out.system.get(), o, fault, out.horizon);
   }
@@ -656,13 +670,8 @@ CrashScenarioResult VerifyWarmCapture(const CrashHarnessOptions& o,
   // state whose own warm recovery redoes nothing. Captured before anything
   // else touches the recovered system.
   {
-    CrashCapture after;
-    after.point = cap.point + "+recovered";
-    after.hit = cap.hit;
-    after.disk = b.system->disk_array().SnapshotContent();
-    after.log = b.system->log_device()->SnapshotContent();
-    after.has_ssd = true;
-    after.ssd = b.system->ssd_device()->SnapshotContent();
+    const CrashCapture after = CaptureDevices(
+        *b.system, cap.point + "+recovered", cap.hit, /*with_ssd=*/true);
     RecoveredDb conv = MakeRestoredSystem(o, run.catalog, after,
                                           /*torn=*/false);
     conv.stats = RecoverWarm(conv);

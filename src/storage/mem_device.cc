@@ -1,78 +1,29 @@
 #include "storage/mem_device.h"
 
-#include <cstring>
-
 #include "common/status.h"
 
 namespace turbobp {
 
 MemDevice::MemDevice(uint64_t num_pages, uint32_t page_bytes)
-    : num_pages_(num_pages), page_bytes_(page_bytes) {
-  TURBOBP_CHECK(page_bytes > 0);
-}
-
-void MemDevice::ReadOne(uint64_t page, std::span<uint8_t> out) {
-  auto it = pages_.find(page);
-  if (it != pages_.end()) {
-    std::memcpy(out.data(), it->second.data(), page_bytes_);
-  } else if (synthesizer_) {
-    synthesizer_(page, out);
-  } else {
-    std::memset(out.data(), 0, page_bytes_);
-  }
-}
+    : image_(num_pages, page_bytes) {}
 
 IoResult MemDevice::Read(uint64_t first_page, uint32_t num_pages,
                          std::span<uint8_t> out, Time now, bool charge) {
-  TURBOBP_CHECK(first_page + num_pages <= num_pages_);
-  TURBOBP_CHECK(out.size() >= static_cast<size_t>(num_pages) * page_bytes_);
-  TrackedLockGuard lock(mu_);
-  for (uint32_t i = 0; i < num_pages; ++i) {
-    ReadOne(first_page + i,
-            out.subspan(static_cast<size_t>(i) * page_bytes_, page_bytes_));
-  }
+  TURBOBP_CHECK(first_page + num_pages <= image_.num_pages());
+  TURBOBP_CHECK(out.size() >=
+                static_cast<size_t>(num_pages) * image_.page_bytes());
+  image_.Read(first_page, num_pages, out);
   return IoResult{now, Status::Ok()};
 }
 
 IoResult MemDevice::Write(uint64_t first_page, uint32_t num_pages,
                           std::span<const uint8_t> data, Time now,
                           bool charge) {
-  TURBOBP_CHECK(first_page + num_pages <= num_pages_);
-  TURBOBP_CHECK(data.size() >= static_cast<size_t>(num_pages) * page_bytes_);
-  TrackedLockGuard lock(mu_);
-  for (uint32_t i = 0; i < num_pages; ++i) {
-    auto& stored = pages_[first_page + i];
-    stored.assign(data.begin() + static_cast<size_t>(i) * page_bytes_,
-                  data.begin() + static_cast<size_t>(i + 1) * page_bytes_);
-  }
+  TURBOBP_CHECK(first_page + num_pages <= image_.num_pages());
+  TURBOBP_CHECK(data.size() >=
+                static_cast<size_t>(num_pages) * image_.page_bytes());
+  image_.Write(first_page, num_pages, data);
   return IoResult{now, Status::Ok()};
-}
-
-bool MemDevice::IsMaterialized(uint64_t page) const {
-  TrackedLockGuard lock(mu_);
-  return pages_.contains(page);
-}
-
-size_t MemDevice::materialized_pages() const {
-  TrackedLockGuard lock(mu_);
-  return pages_.size();
-}
-
-void MemDevice::Clear() {
-  TrackedLockGuard lock(mu_);
-  pages_.clear();
-}
-
-std::unordered_map<uint64_t, std::vector<uint8_t>> MemDevice::SnapshotContent()
-    const {
-  TrackedLockGuard lock(mu_);
-  return pages_;
-}
-
-void MemDevice::RestoreContent(
-    std::unordered_map<uint64_t, std::vector<uint8_t>> pages) {
-  TrackedLockGuard lock(mu_);
-  pages_ = std::move(pages);
 }
 
 }  // namespace turbobp

@@ -1,12 +1,7 @@
 #ifndef TURBOBP_STORAGE_MEM_DEVICE_H_
 #define TURBOBP_STORAGE_MEM_DEVICE_H_
 
-#include <functional>
-#include <memory>
-#include <unordered_map>
-#include <vector>
-
-#include "debug/latch_order_checker.h"
+#include "storage/page_image.h"
 #include "storage/storage_device.h"
 
 namespace turbobp {
@@ -17,17 +12,18 @@ namespace turbobp {
 //   * a lazily-materialized store: pages never written are synthesized on
 //     first read by a caller-provided function, so a "400GB" logical
 //     database costs only its written working set in RAM.
+// The medium is one PageImage; image() is how the crash harness snapshots
+// and restores it.
 class MemDevice : public StorageDevice {
  public:
-  // Fills `out` with the initial (never-written) content of `page`.
-  using Synthesizer = std::function<void(uint64_t page, std::span<uint8_t> out)>;
+  using Synthesizer = PageImage::Synthesizer;
 
   MemDevice(uint64_t num_pages, uint32_t page_bytes);
 
-  void SetSynthesizer(Synthesizer s) { synthesizer_ = std::move(s); }
+  void SetSynthesizer(Synthesizer s) { image_.SetSynthesizer(std::move(s)); }
 
-  uint64_t num_pages() const override { return num_pages_; }
-  uint32_t page_bytes() const override { return page_bytes_; }
+  uint64_t num_pages() const override { return image_.num_pages(); }
+  uint32_t page_bytes() const override { return image_.page_bytes(); }
 
   IoResult Read(uint64_t first_page, uint32_t num_pages,
                 std::span<uint8_t> out, Time now, bool charge = true) override;
@@ -36,27 +32,15 @@ class MemDevice : public StorageDevice {
                  bool charge = true) override;
 
   // Whether the page has ever been written (vs. synthesized-on-read).
-  bool IsMaterialized(uint64_t page) const;
-  size_t materialized_pages() const;
+  bool IsMaterialized(uint64_t page) const {
+    return image_.IsMaterialized(page);
+  }
+  size_t materialized_pages() const { return image_.materialized_pages(); }
 
-  // Drops all written content (simulates reformatting the device).
-  void Clear();
-
-  // Crash simulation (src/fault/crash_harness): copies of the materialized
-  // page map, capturing exactly the bytes a power cut at this instant would
-  // leave on the medium. Restore replaces the whole map.
-  std::unordered_map<uint64_t, std::vector<uint8_t>> SnapshotContent() const;
-  void RestoreContent(std::unordered_map<uint64_t, std::vector<uint8_t>> pages);
+  PageImage& image() { return image_; }
 
  private:
-  void ReadOne(uint64_t page, std::span<uint8_t> out) TURBOBP_REQUIRES(mu_);
-
-  const uint64_t num_pages_;
-  const uint32_t page_bytes_;
-  Synthesizer synthesizer_;
-  mutable TrackedMutex<LatchClass::kDevice> mu_;
-  std::unordered_map<uint64_t, std::vector<uint8_t>> pages_
-      TURBOBP_GUARDED_BY(mu_);
+  PageImage image_;
 };
 
 }  // namespace turbobp

@@ -2,9 +2,6 @@
 #define TURBOBP_STORAGE_SIM_DEVICE_H_
 
 #include <memory>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "sim/device_model.h"
 #include "storage/mem_device.h"
@@ -18,8 +15,11 @@ namespace turbobp {
 //
 // Thread-safe for concurrent Read/Write/QueueLength (real-thread driver
 // mode): the store is internally latched and a device-class latch serializes
-// timeline bookings. timeline()/store() direct access and crash
-// snapshot/restore remain single-threaded operations (setup, harness).
+// timeline bookings. timeline() direct access remains a single-threaded
+// operation (setup, harness). The crash harness snapshots and restores the
+// medium through store().image(); the persistent SSD cache depends on that
+// covering the *whole* device — frame area plus the metadata-journal
+// region carved out at the tail.
 class SimDevice : public StorageDevice {
  public:
   SimDevice(uint64_t num_pages, uint32_t page_bytes,
@@ -47,19 +47,6 @@ class SimDevice : public StorageDevice {
   // before client threads start or after they join.
   DeviceTimeline& timeline() TURBOBP_NO_THREAD_SAFETY_ANALYSIS {
     return timeline_;
-  }
-
-  // Crash simulation (src/fault/crash_harness): snapshot/restore of the
-  // materialized medium content. The persistent SSD cache depends on this
-  // covering the *whole* device — frame area plus the metadata-journal
-  // region carved out at the tail — so a restored device replays exactly
-  // what a power cut left behind.
-  std::unordered_map<uint64_t, std::vector<uint8_t>> SnapshotContent() const {
-    return store_.SnapshotContent();
-  }
-  void RestoreContent(
-      std::unordered_map<uint64_t, std::vector<uint8_t>> pages) {
-    store_.RestoreContent(std::move(pages));
   }
 
  private:

@@ -138,21 +138,4 @@ void StripedDiskArray::SetSynthesizer(MemDevice::Synthesizer s) {
   }
 }
 
-StripedDiskArray::Content StripedDiskArray::SnapshotContent() const {
-  Content content;
-  content.spindles.reserve(spindles_.size());
-  for (const auto& s : spindles_) {
-    content.spindles.push_back(
-        const_cast<SimDevice&>(*s).store().SnapshotContent());
-  }
-  return content;
-}
-
-void StripedDiskArray::RestoreContent(const Content& content) {
-  TURBOBP_CHECK(content.spindles.size() == spindles_.size());
-  for (size_t i = 0; i < spindles_.size(); ++i) {
-    spindles_[i]->store().RestoreContent(content.spindles[i]);
-  }
-}
-
 }  // namespace turbobp

@@ -2,7 +2,6 @@
 #define TURBOBP_STORAGE_STRIPED_ARRAY_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/device_model.h"
@@ -56,16 +55,6 @@ class StripedDiskArray : public StorageDevice {
   // The synthesizer is installed on every spindle's backing store, keyed by
   // the *logical* page id (callers think in logical pages).
   void SetSynthesizer(MemDevice::Synthesizer s);
-
-  // Crash simulation (src/fault/crash_harness): per-spindle materialized
-  // page maps — the exact bytes a power cut at this instant leaves on the
-  // platters. Restoring onto a fresh array of the same geometry rebuilds
-  // that durable state; the synthesizer still covers never-written pages.
-  struct Content {
-    std::vector<std::unordered_map<uint64_t, std::vector<uint8_t>>> spindles;
-  };
-  Content SnapshotContent() const;
-  void RestoreContent(const Content& content);
 
  private:
   struct Mapping {

@@ -17,36 +17,46 @@ RecoveryManager::RecoveryManager(DiskManager* disk, LogManager* log)
   TURBOBP_CHECK(log != nullptr);
 }
 
-Lsn RecoveryManager::FindRedoStart(LogScan* scan) const {
-  // The latest begin-checkpoint that precedes a durable end record:
-  // everything before it is already on disk (sharp checkpoints). A begin
-  // with no end after it is a checkpoint that never completed.
+LogAnalysis RecoveryManager::Analyze(bool track_max_update_lsn) const {
+  // The redo start is the latest begin-checkpoint that precedes a durable
+  // end record: everything before it is already on disk (sharp
+  // checkpoints). A begin with no end after it is a checkpoint that never
+  // completed.
+  LogAnalysis a;
   Lsn latest_begin = kInvalidLsn;
-  Lsn redo_start = kInvalidLsn;
-  *scan = ScanLogDevice(log_->device(), [&](const LogRecord& rec) {
+  a.scan = ScanLogDevice(log_->device(), [&](const LogRecord& rec) {
     if (rec.type == LogRecordType::kBeginCheckpoint) {
       latest_begin = rec.lsn;
     } else if (rec.type == LogRecordType::kEndCheckpoint) {
-      redo_start = latest_begin;
+      a.redo_start = latest_begin;
+    } else if (track_max_update_lsn && rec.type == LogRecordType::kUpdate) {
+      Lsn& maxl = a.max_update_lsn[rec.page_id];
+      maxl = std::max(maxl, rec.lsn);
     }
   });
-  return redo_start;
+  return a;
 }
 
 RecoveryStats RecoveryManager::Recover(
     IoContext& ctx, Lsn redo_start_override,
-    const std::unordered_map<PageId, Lsn>* covered_by_ssd) {
+    const std::unordered_map<PageId, Lsn>* covered_by_ssd,
+    const LogAnalysis* analysis) {
   RecoveryStats stats;
   const Time start = ctx.now;
   // The device scan ends at the first record whose LSN breaks continuity or
   // whose CRC fails. A torn final block therefore ends the log at its first
   // damaged record: those records were never acknowledged durable to any
   // client, so leaving them out is the correct recovery.
-  LogScan scan;
-  stats.redo_start_lsn = FindRedoStart(&scan);
+  LogAnalysis own;
+  if (analysis == nullptr) {
+    own = Analyze();
+    analysis = &own;
+  }
+  const LogScan& scan = analysis->scan;
+  stats.redo_start_lsn = analysis->redo_start;
   stats.torn_tail = scan.torn;
   log_->ResumeFrom(scan);
-  // The override can only move redo EARLIER. kInvalidLsn from FindRedoStart
+  // The override can only move redo EARLIER. kInvalidLsn from the analysis
   // means "no completed checkpoint: scan from the very beginning" — the
   // earliest possible start, which no override may narrow. (A restored-SSD
   // min-dirty LSN replacing it would skip the log prefix that rebuilds
@@ -128,8 +138,8 @@ RecoveryStats RecoveryManager::Recover(
     cache.clear();
   };
 
-  // Second pass over the device: the same records, in the same order, up to
-  // the same durable end as the first.
+  // Redo pass over the device: the same records, in the same order, up to
+  // the same durable end as the analysis pass.
   ScanLogDevice(log_->device(), [&](const LogRecord& rec) {
     if (rec.lsn < needed || rec.type != LogRecordType::kUpdate) return;
     ++stats.records_scanned;

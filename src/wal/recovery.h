@@ -25,6 +25,18 @@ struct RecoveryStats {
   Time elapsed = 0;
 };
 
+// What one pass over the log device learns before redo: where the durable
+// log begins and ends, the redo start, and (on request) each page's highest
+// durable update LSN, which proves whether a restored SSD frame is still
+// the newest version of its page.
+struct LogAnalysis {
+  LogScan scan;
+  // Latest begin-checkpoint LSN whose end record is on the device
+  // (kInvalidLsn if none).
+  Lsn redo_start = kInvalidLsn;
+  std::unordered_map<PageId, Lsn> max_update_lsn;
+};
+
 // Redo-only restart recovery (ARIES redo pass over physiological records).
 //
 // After a crash the buffer pool is gone. The SSD cache comes back empty
@@ -58,14 +70,20 @@ class RecoveryManager {
   // restored SSD copy already contains all updates: redo skips those
   // records entirely (no disk I/O), which is what makes a warm restart's
   // recovery fast.
+  //
+  // `analysis` is a result of Analyze() over the log device as it is now;
+  // without one, Recover runs the analysis pass itself. Either way the
+  // device is read twice: once to analyze, once to redo.
   RecoveryStats Recover(
       IoContext& ctx, Lsn redo_start_override = kInvalidLsn,
-      const std::unordered_map<PageId, Lsn>* covered_by_ssd = nullptr);
+      const std::unordered_map<PageId, Lsn>* covered_by_ssd = nullptr,
+      const LogAnalysis* analysis = nullptr);
+
+  // The analysis pass: one read of the log device. Fills max_update_lsn
+  // only when `track_max_update_lsn` is set.
+  LogAnalysis Analyze(bool track_max_update_lsn = false) const;
 
  private:
-  // Latest begin-checkpoint LSN whose end record is on the device
-  // (kInvalidLsn if none), and where the device's log begins and ends.
-  Lsn FindRedoStart(LogScan* scan) const;
 
   DiskManager* disk_;
   LogManager* log_;

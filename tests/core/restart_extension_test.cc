@@ -140,6 +140,32 @@ TEST_F(RestartExtensionTest, RestartRestoresWarmSsdAndStaysCorrect) {
   EXPECT_EQ(system_->ssd_manager().stats().dirty_frames, 0);
 }
 
+// A warm restart reads the log device twice: one analysis pass gives the
+// SSD restore its horizon and per-page LSNs and gives redo its start, and
+// redo reads the log once more.
+TEST_F(RestartExtensionTest, WarmRestartReadsTheLogDeviceTwice) {
+  IoContext ctx = system_->MakeContext();
+  Rng rng(9);
+  Churn(300, ctx, rng);
+  system_->checkpoint().RunCheckpoint(ctx);
+  Churn(100, ctx, rng);
+  system_->Crash();
+  const PageImage& log = system_->log_device()->store().image();
+  const uint64_t before_scan = log.pages_read();
+  const LogScan scan = ScanLogDevice(system_->log_device());
+  const uint64_t one_pass = log.pages_read() - before_scan;
+  ASSERT_GT(one_pass, 0u);
+  ASSERT_GT(scan.records, 0);
+
+  IoContext rctx = system_->MakeContext();
+  const uint64_t before_recovery = log.pages_read();
+  const auto [stats, pstats] = system_->RecoverPersistent(rctx);
+  EXPECT_TRUE(stats.status.ok()) << stats.status.ToString();
+  EXPECT_TRUE(pstats.journal_valid);
+  EXPECT_EQ(log.pages_read() - before_recovery, 2 * one_pass);
+  VerifyShadowThroughPool(rctx);
+}
+
 TEST_F(RestartExtensionTest, SupersededEntriesAreDropped) {
   IoContext ctx = system_->MakeContext();
   Rng rng(7);

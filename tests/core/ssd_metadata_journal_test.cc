@@ -235,11 +235,11 @@ TEST_F(SsdMetadataJournalTest, SinglePageCorruptionNeverFabricatesMappings) {
   Put(*j, 4, 504, 64, false);
   EXPECT_TRUE(j->Maintain(ctx_, /*force=*/true).ok());
 
-  const auto pristine = dev_.SnapshotContent();
+  const PageImage pristine = dev_.image().Snapshot();
   const uint64_t base = j->region_base();
   for (uint32_t p = 0; p < region_pages_; ++p) {
     for (const uint32_t offset : {kCrcOffset, 8u, kPageBytes - 1}) {
-      dev_.RestoreContent(pristine);
+      dev_.image().Restore(pristine);
       FlipByte(base + p, offset);
       auto jr = MakeJournal();
       const auto st = jr->Recover(ctx_);
@@ -266,11 +266,11 @@ TEST_F(SsdMetadataJournalTest, SinglePageCorruptionNeverFabricatesMappings) {
 // seeds, recovery may fall back (older epoch, truncated tail, nothing at
 // all) but must never fabricate a mapping the workload did not stage.
 TEST_F(SsdMetadataJournalTest, FaultInjectedWriteAndRecoverySweep) {
-  const auto pristine = dev_.SnapshotContent();
+  const PageImage pristine = dev_.image().Snapshot();
   int64_t total_torn = 0;
   int64_t total_flips = 0;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    dev_.RestoreContent(pristine);
+    dev_.image().Restore(pristine);
     table_.clear();
     history_.clear();
 

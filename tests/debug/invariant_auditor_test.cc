@@ -107,6 +107,25 @@ TEST_F(InvariantAuditorTest, LazyCleaningDirtyFramesAuditClean) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
+TEST_F(InvariantAuditorTest, DetectsCleanFrameWithStaleChecksum) {
+  BufferPool::Options opts;
+  opts.num_frames = 8;
+  opts.page_bytes = kPage;
+  opts.expand_reads_until_warm = false;
+  BufferPool pool(opts, &disk_, &log_, nullptr);
+  IoContext ctx;
+  {
+    // Changed in memory without being marked dirty: nothing re-seals the
+    // frame, so a clean eviction would hand a stale checksum to the SSD.
+    PageGuard g = pool.FetchPage(9, AccessKind::kRandom, ctx);
+    g.view().payload()[0] ^= 0xFF;
+  }
+  const AuditReport report = InvariantAuditor::AuditBufferPool(pool);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(HasViolationContaining(report, "stale checksum"))
+      << report.ToString();
+}
+
 TEST_F(InvariantAuditorTest, DetectsDirtyHeapEntryWhoseRecordSaysClean) {
   LazyCleaningCache ssd(&ssd_dev_, &disk_, sopts_, nullptr);
   IoContext ctx;

@@ -68,10 +68,24 @@ TEST(MemDeviceTest, ClearDropsContent) {
   MemDevice dev(16, 256);
   std::vector<uint8_t> in(256, 0x77), out(256);
   dev.Write(0, 1, in, 0);
-  dev.Clear();
+  dev.image().Clear();
   EXPECT_EQ(dev.materialized_pages(), 0u);
   dev.Read(0, 1, out, 0);
   EXPECT_EQ(out, std::vector<uint8_t>(256, 0));
+}
+
+TEST(MemDeviceTest, ImageSnapshotRestoresTheDeviceContent) {
+  MemDevice dev(16, 256);
+  std::vector<uint8_t> in(256, 0x31), other(256, 0x32), out(256);
+  dev.Write(4, 1, in, 0);
+  const PageImage snap = dev.image().Snapshot();
+  dev.Write(4, 1, other, 0);
+  dev.Write(9, 1, other, 0);
+  dev.image().Restore(snap);
+  dev.Read(4, 1, out, 0);
+  EXPECT_EQ(out, in);
+  EXPECT_FALSE(dev.IsMaterialized(9));
+  EXPECT_EQ(dev.materialized_pages(), 1u);
 }
 
 TEST(MemDeviceDeathTest, OutOfRangeAccessPanics) {

@@ -43,6 +43,27 @@ TEST(StripedArrayTest, PagesSpreadOverAllSpindles) {
   }
 }
 
+TEST(StripedArrayTest, SpindleSnapshotsRestoreTheArrayOntoAFreshOne) {
+  StripedDiskArray disks(64, 256, SmallOptions());
+  std::vector<uint8_t> in(16 * 256), out(16 * 256);
+  for (size_t i = 0; i < in.size(); ++i) in[i] = static_cast<uint8_t>(i * 3);
+  disks.Write(3, 16, in, 0);
+  // One snapshot per spindle is the array's whole medium.
+  std::vector<PageImage> snaps;
+  for (int s = 0; s < disks.num_spindles(); ++s) {
+    snaps.push_back(disks.spindle(s).store().image().Snapshot());
+  }
+  std::vector<uint8_t> later(256, 0xCD);
+  disks.Write(5, 1, later, 0);
+
+  StripedDiskArray fresh(64, 256, SmallOptions());
+  for (int s = 0; s < fresh.num_spindles(); ++s) {
+    fresh.spindle(s).store().image().Restore(snaps[s]);
+  }
+  fresh.Read(3, 16, out, 0);
+  EXPECT_EQ(in, out);
+}
+
 TEST(StripedArrayTest, MultiPageReadUsesSpindlesInParallel) {
   StripedDiskArray disks(1 << 12, 8192, StripedDiskArray::Options());
   std::vector<uint8_t> buf(64 * 8192);
