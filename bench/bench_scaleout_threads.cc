@@ -98,7 +98,6 @@ DriverResult RunScaleout(const RunSpec& spec, Time wall_duration) {
 
 void AddLatchBreakdown(std::string& j, const LatchWaitSnapshot& lw) {
   for (int i = 0; i < kNumLatchClasses; ++i) {
-    if (lw.waits[i] == 0 && lw.wait_ns[i] == 0) continue;
     const std::string base = std::string("latch_") +
                              ToString(static_cast<LatchClass>(i));
     JsonAdd(j, (base + "_waits").c_str(), lw.waits[i]);

@@ -173,7 +173,19 @@ inline void JsonAdd(std::string& j, const char* key, int64_t val) {
   JsonAdd(j, key, std::to_string(val), false);
 }
 
-// Renders one driver run.
+// Adds one key per counter of `stats`: `prefix` + the counter's name.
+template <typename Stats>
+void JsonAddCounters(std::string& j, const std::string& prefix,
+                     const Stats& stats) {
+  Stats::ForEach(
+      [&](const char* name, int64_t val) {
+        JsonAdd(j, (prefix + name).c_str(), val);
+      },
+      stats);
+}
+
+// Renders one driver run: the run's totals and rates, then every pool
+// counter as bp_<name> and every SSD cache counter as ssd_<name>.
 inline std::string ResultJson(const DriverResult& r) {
   std::string j = "{";
   JsonAdd(j, "workload", r.workload, true);
@@ -183,24 +195,14 @@ inline std::string ResultJson(const DriverResult& r) {
   JsonAdd(j, "steady_rate", r.steady_rate);
   JsonAdd(j, "overall_rate", r.overall_rate);
   JsonAdd(j, "total_latch_wait_ms", ToMillis(r.total_latch_wait));
-  JsonAdd(j, "bp_hits", r.bp.hits);
-  JsonAdd(j, "bp_misses", r.bp.misses);
   JsonAdd(j, "bp_hit_rate",
           static_cast<double>(r.bp.hits) /
               std::max<int64_t>(1, r.bp.hits + r.bp.misses));
   JsonAdd(j, "ssd_hit_rate",
           static_cast<double>(r.bp.ssd_hits) /
               std::max<int64_t>(1, r.bp.misses));
-  JsonAdd(j, "bp_latch_wait_ms", ToMillis(r.bp.latch_wait_time));
-  JsonAdd(j, "pool_latch_waits", r.bp.pool_latch_waits);
-  JsonAdd(j, "pool_latch_wait_ms",
-          static_cast<double>(r.bp.pool_latch_wait_ns) / 1e6);
-  JsonAdd(j, "ssd_partitions_degraded", r.ssd.partitions_degraded);
-  JsonAdd(j, "ssd_partitions_recovered", r.ssd.partitions_recovered);
-  JsonAdd(j, "ssd_scrub_frames_verified", r.ssd.scrub_frames_verified);
-  JsonAdd(j, "ssd_scrub_frames_repaired", r.ssd.scrub_frames_repaired);
-  JsonAdd(j, "ssd_io_timeouts", r.ssd.io_timeouts);
-  JsonAdd(j, "ssd_hedged_reads", r.ssd.hedged_reads);
+  JsonAddCounters(j, "bp_", r.bp);
+  JsonAddCounters(j, "ssd_", r.ssd);
   j += "}";
   return j;
 }

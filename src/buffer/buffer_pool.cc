@@ -97,10 +97,9 @@ BufferPool::ShardLock BufferPool::LockShard(const Shard& sh) const {
     const auto t0 = std::chrono::steady_clock::now();
     lock.lock();
     const auto dt = std::chrono::steady_clock::now() - t0;
-    StatCounters::Bump(counters_.pool_latch_waits);
-    StatCounters::Bump(
-        counters_.pool_latch_wait_ns,
-        std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
+    Bump(counters_.pool_latch_waits);
+    Bump(counters_.pool_latch_wait_ns,
+         std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
   }
   return lock;
 }
@@ -279,7 +278,7 @@ void BufferPool::InstallExpandedPage(PageId p, const uint8_t* bytes,
   Touch(f, ctx.now);
   f.state.store(FrameState::kResident, std::memory_order_relaxed);
   sh.page_table.emplace(p, fr);
-  StatCounters::Bump(counters_.expanded_pages);
+  Bump(counters_.expanded_pages);
 }
 
 PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
@@ -305,16 +304,14 @@ PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
       Touch(f, ctx.now);
       f.kind = kind;
       ++f.pin_count;
-      counters_.Classified(counters_.hits);
-      ++ctx.bp_hits;
+      BumpClassified(counters_, counters_.hits);
       lock.unlock();
       // TAC pathology (Section 2.5): a pending SSD admission write holds the
       // page latch; only the client touching that page waits for it — with
       // every pool latch released.
       const Time busy = ssd_->LatchBusyUntil(pid, ctx.now);
       if (busy > ctx.now && ctx.charge) {
-        counters_.latch_wait_time.fetch_add(busy - ctx.now,
-                                            std::memory_order_relaxed);
+        Bump(counters_.latch_wait_time, busy - ctx.now);
         ctx.latch_wait += busy - ctx.now;
         ctx.Wait(busy);
       }
@@ -338,8 +335,7 @@ PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
     sh.page_table.emplace(pid, frame);
     // Commitment point: this call is a miss (counted exactly once even if
     // the claim retried above).
-    counters_.Classified(counters_.misses);
-    ++ctx.bp_misses;
+    BumpClassified(counters_, counters_.misses);
     break;
   }
 
@@ -349,8 +345,7 @@ PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
   Status ssd_error;
   if (ssd_->TryReadPage(pid, FrameSpan(frame), ctx, &ssd_error)) {
     // Already verified by the SSD manager (page id and checksum).
-    StatCounters::Bump(counters_.ssd_hits);
-    ++ctx.ssd_hits;
+    Bump(counters_.ssd_hits);
     return FinishRead(sh, frame, pid, kind, ctx);
   }
   if (!ssd_error.ok()) {
@@ -380,7 +375,7 @@ PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
     static thread_local std::vector<uint8_t> scratch;
     scratch.resize(static_cast<size_t>(count) * options_.page_bytes);
     TURBOBP_CHECK_OK(disk_->ReadPages(block_first, count, scratch, ctx));
-    StatCounters::Bump(counters_.disk_page_reads, count);
+    Bump(counters_.disk_page_reads, count);
     for (uint32_t i = 0; i < count; ++i) {
       const PageId p = block_first + i;
       if (p == pid) continue;  // the requested page lands in our claim below
@@ -403,7 +398,7 @@ PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
   }
 
   TURBOBP_CHECK_OK(disk_->ReadPage(pid, FrameSpan(frame), ctx));
-  StatCounters::Bump(counters_.disk_page_reads);
+  Bump(counters_.disk_page_reads);
   VerifyFrameChecksum(frame, pid);
   ssd_->OnDiskRead(pid, FrameSpan(frame), kind, ctx);
   return FinishRead(sh, frame, pid, kind, ctx);
@@ -498,10 +493,9 @@ void BufferPool::PrefetchRange(PageId first, uint32_t n, IoContext& ctx) {
 
   auto read_via_ssd = [&](const Pending& ent) -> bool {
     if (!ssd_->TryReadPage(ent.pid, FrameSpan(ent.frame), ctx)) return false;
-    StatCounters::Bump(counters_.ssd_hits);
-    ++ctx.ssd_hits;
+    Bump(counters_.ssd_hits);
     FinishPrefetch(ent.frame, ent.pid, ctx);
-    StatCounters::Bump(counters_.prefetch_pages);
+    Bump(counters_.prefetch_pages);
     return true;
   };
 
@@ -549,14 +543,13 @@ void BufferPool::PrefetchRange(PageId first, uint32_t n, IoContext& ctx) {
       ssd_->OnDiskRead(ent.pid, FrameSpan(ent.frame), AccessKind::kSequential,
                        ctx);
       FinishPrefetch(ent.frame, ent.pid, ctx);
-      StatCounters::Bump(counters_.prefetch_pages);
+      Bump(counters_.prefetch_pages);
     };
     io_engine_->Submit(req, ctx);
     ++submitted;
   }
   if (submitted > 0) {
-    StatCounters::Bump(counters_.disk_page_reads, submitted);
-    ctx.disk_reads += submitted;
+    Bump(counters_.disk_page_reads, submitted);
     ctx.Wait(io_engine_->Drain(ctx));
   }
 }
@@ -667,13 +660,13 @@ void BufferPool::EvictFrameLocked(Shard& sh, ShardLock& lock, int32_t frame,
   // every measured run starts from a cold SSD buffer pool, as in the paper
   // (the DBMS is restarted between runs).
   if (!dirty) {
-    StatCounters::Bump(counters_.evictions_clean);
+    Bump(counters_.evictions_clean);
     // A clean frame's checksum is already current: every path that leaves
     // a frame clean verified or sealed it (device reads, FlushAllDirty's
     // copy-back), so the SSD is offered the bytes as they are.
     if (ctx.charge) ssd_->OnEvictClean(pid, FrameSpan(frame), kind, ctx);
   } else {
-    StatCounters::Bump(counters_.evictions_dirty);
+    Bump(counters_.evictions_dirty);
     PageView v(FrameSpan(frame));
     v.SealChecksum();
     const Lsn page_lsn = v.header().lsn;
@@ -763,7 +756,7 @@ Time BufferPool::FlushAllDirty(IoContext& ctx, bool for_checkpoint) {
           ssd_->OnCheckpointWrite(sp->pid,
                                   std::span<const uint8_t>(sp->snapshot),
                                   sp->kind, sp->lsn, ck_ctx);
-          StatCounters::Bump(counters_.checkpoint_writes);
+          Bump(counters_.checkpoint_writes);
         }
         Shard& sh = ShardOfFrame(sp->frame);
         ShardLock lock = LockShard(sh);
@@ -884,48 +877,10 @@ void BufferPool::MarkDirtyLocked(int32_t frame, Lsn lsn) {
 
 BufferPoolStats BufferPool::stats() const {
   BufferPoolStats s;
-  // Consistent snapshot under concurrency: ops is bumped last (release) by
-  // every fetch classification and read first here (acquire), so even a
-  // single pass observes hits + misses >= ops. The re-read at the end of
-  // the pass upgrades that to a stable snapshot — ops unchanged means no
-  // classification ran while hits/misses were copied; otherwise retry
-  // (bounded: the ordered single pass is already invariant-preserving).
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    s.ops = counters_.ops.load(std::memory_order_acquire);
-    s.hits = counters_.hits.load(std::memory_order_relaxed);
-    s.misses = counters_.misses.load(std::memory_order_relaxed);
-    if (counters_.ops.load(std::memory_order_acquire) == s.ops) break;
-  }
-  s.ssd_hits = counters_.ssd_hits.load(std::memory_order_relaxed);
-  s.disk_page_reads = counters_.disk_page_reads.load(std::memory_order_relaxed);
-  s.evictions_clean = counters_.evictions_clean.load(std::memory_order_relaxed);
-  s.evictions_dirty = counters_.evictions_dirty.load(std::memory_order_relaxed);
-  s.prefetch_pages = counters_.prefetch_pages.load(std::memory_order_relaxed);
-  s.expanded_pages = counters_.expanded_pages.load(std::memory_order_relaxed);
-  s.checkpoint_writes =
-      counters_.checkpoint_writes.load(std::memory_order_relaxed);
-  s.latch_wait_time = counters_.latch_wait_time.load(std::memory_order_relaxed);
-  s.pool_latch_waits =
-      counters_.pool_latch_waits.load(std::memory_order_relaxed);
-  s.pool_latch_wait_ns =
-      counters_.pool_latch_wait_ns.load(std::memory_order_relaxed);
+  SnapshotCounters(counters_, s);
   return s;
 }
 
-void BufferPool::ResetStats() {
-  counters_.ops.store(0, std::memory_order_relaxed);
-  counters_.hits.store(0, std::memory_order_relaxed);
-  counters_.misses.store(0, std::memory_order_relaxed);
-  counters_.ssd_hits.store(0, std::memory_order_relaxed);
-  counters_.disk_page_reads.store(0, std::memory_order_relaxed);
-  counters_.evictions_clean.store(0, std::memory_order_relaxed);
-  counters_.evictions_dirty.store(0, std::memory_order_relaxed);
-  counters_.prefetch_pages.store(0, std::memory_order_relaxed);
-  counters_.expanded_pages.store(0, std::memory_order_relaxed);
-  counters_.checkpoint_writes.store(0, std::memory_order_relaxed);
-  counters_.latch_wait_time.store(0, std::memory_order_relaxed);
-  counters_.pool_latch_waits.store(0, std::memory_order_relaxed);
-  counters_.pool_latch_wait_ns.store(0, std::memory_order_relaxed);
-}
+void BufferPool::ResetStats() { ResetCounters(counters_); }
 
 }  // namespace turbobp

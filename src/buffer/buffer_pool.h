@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/counter_list.h"
 #include "common/types.h"
 #include "core/ssd_manager.h"
 #include "debug/latch_order_checker.h"
@@ -61,30 +62,33 @@ class PageGuard {
   int32_t frame_ = -1;
 };
 
-// Snapshot of the pool's counters. The live counters are relaxed atomics
-// mutated concurrently by every client; stats() copies them out so callers
-// never read a torn or racing value.
-struct BufferPoolStats {
-  // Fetch classifications: hits + misses >= ops holds in EVERY snapshot,
-  // including one taken mid-fetch from another thread (equality at
-  // quiescence). A naive field-by-field relaxed copy can tear and break
-  // it; stats() orders and retries its reads to keep it.
-  int64_t ops = 0;
-  int64_t hits = 0;
-  int64_t misses = 0;
-  int64_t ssd_hits = 0;          // misses served by the SSD manager
-  int64_t disk_page_reads = 0;   // pages read from disk (incl. expansions)
-  int64_t evictions_clean = 0;
-  int64_t evictions_dirty = 0;
-  int64_t prefetch_pages = 0;    // pages brought in via PrefetchRange
-  int64_t expanded_pages = 0;    // speculative neighbours from warm-up reads
-  int64_t checkpoint_writes = 0;
-  Time latch_wait_time = 0;      // stalls behind SSD admission writes (TAC)
-  // Contention on the pool's shard latches themselves (real-thread mode;
-  // always zero in the single-threaded simulator).
-  int64_t pool_latch_waits = 0;
-  int64_t pool_latch_wait_ns = 0;
+// The pool's counters, declared once (common/counter_list.h). `ops` counts
+// FetchPage calls, each classified as one hit or one miss.
+#define TURBOBP_BUFFER_POOL_COUNTERS(X)                                       \
+  X(ops)                                                                      \
+  X(hits)                                                                     \
+  X(misses)                                                                   \
+  X(ssd_hits)           /* misses served by the SSD manager */                \
+  X(disk_page_reads)    /* pages read from disk (incl. expansions) */         \
+  X(evictions_clean)                                                          \
+  X(evictions_dirty)                                                          \
+  X(prefetch_pages)     /* pages brought in via PrefetchRange */              \
+  X(expanded_pages)     /* speculative neighbours from warm-up reads */       \
+  X(checkpoint_writes)                                                        \
+  X(latch_wait_time)    /* virtual us stalled behind SSD admission (TAC) */   \
+  /* Contention on the shard latches themselves (real-thread mode; always */  \
+  /* zero in the single-threaded simulator). */                               \
+  X(pool_latch_waits)                                                         \
+  X(pool_latch_wait_ns)
+
+template <typename T>
+struct BufferPoolCounters {
+  TURBOBP_COUNTER_SET(TURBOBP_BUFFER_POOL_COUNTERS)
 };
+
+// What stats() returns: hits + misses >= ops in EVERY snapshot, including
+// one taken mid-fetch from another thread (equality at quiescence).
+using BufferPoolStats = BufferPoolCounters<int64_t>;
 
 // Main-memory buffer pool with an SSD-manager extension point (Figure 1).
 //
@@ -264,35 +268,6 @@ class BufferPool {
     int32_t frame_end = 0;
   };
 
-  // Live counters (relaxed atomics; see BufferPoolStats for the snapshot).
-  struct StatCounters {
-    // Fetch classifications: bumped once per FetchPage hit/miss commitment,
-    // LAST and with release ordering, so a snapshot reading ops first
-    // (acquire) always observes hits + misses >= ops.
-    std::atomic<int64_t> ops{0};
-    std::atomic<int64_t> hits{0};
-    std::atomic<int64_t> misses{0};
-    std::atomic<int64_t> ssd_hits{0};
-    std::atomic<int64_t> disk_page_reads{0};
-    std::atomic<int64_t> evictions_clean{0};
-    std::atomic<int64_t> evictions_dirty{0};
-    std::atomic<int64_t> prefetch_pages{0};
-    std::atomic<int64_t> expanded_pages{0};
-    std::atomic<int64_t> checkpoint_writes{0};
-    std::atomic<Time> latch_wait_time{0};
-    std::atomic<int64_t> pool_latch_waits{0};
-    std::atomic<int64_t> pool_latch_wait_ns{0};
-
-    static void Bump(std::atomic<int64_t>& c, int64_t by = 1) {
-      c.fetch_add(by, std::memory_order_relaxed);
-    }
-    // Bumps a classification counter and then seals the fetch into ops.
-    void Classified(std::atomic<int64_t>& c) {
-      c.fetch_add(1, std::memory_order_relaxed);
-      ops.fetch_add(1, std::memory_order_release);
-    }
-  };
-
   uint8_t* FrameData(int32_t frame) const {
     return const_cast<uint8_t*>(arena_.data()) +
            static_cast<size_t>(frame) * options_.page_bytes;
@@ -400,7 +375,8 @@ class BufferPool {
 
   std::atomic<bool> warmed_up_{false};  // pool filled once (stops expansion)
   std::atomic<int64_t> free_frames_{0};  // total across shards (expansion gate)
-  mutable StatCounters counters_;
+  // Bumped by every client; stats() snapshots them.
+  mutable BufferPoolCounters<LiveCounter> counters_;
 };
 
 }  // namespace turbobp

@@ -17,9 +17,9 @@ EvictionOutcome DualWriteCache::OnEvictDirty(PageId pid,
     outcome.cached_on_ssd =
         AdmitPage(pid, data, kind, /*dirty=*/false, page_lsn, ctx);
   } else if (!AdmissionAllows(kind)) {
-    Counters::Bump(counters_.rejected_sequential);
+    Bump(counters_.rejected_sequential);
   } else {
-    Counters::Bump(counters_.throttled);
+    Bump(counters_.throttled);
   }
   return outcome;
 }

@@ -40,9 +40,9 @@ EvictionOutcome LazyCleaningCache::OnEvictDirty(PageId pid,
     outcome.write_to_disk = true;
     if (!in_ckpt) {
       if (!AdmissionAllows(kind)) {
-        Counters::Bump(counters_.rejected_sequential);
+        Bump(counters_.rejected_sequential);
       } else if (ThrottleBlocks(ctx.now)) {
-        Counters::Bump(counters_.throttled);
+        Bump(counters_.throttled);
       }
     }
   }
@@ -235,9 +235,9 @@ Time LazyCleaningCache::CleanOneGroup(IoContext& ctx) {
     NoteJournalPut(FrameOf(part, rec), r.page_id, staged_lsn,
                    /*dirty=*/false);
   }
-  Counters::Bump(counters_.cleaner_disk_writes,
+  Bump(counters_.cleaner_disk_writes,
                  static_cast<int64_t>(group.size()));
-  Counters::Bump(counters_.cleaner_io_requests);
+  Bump(counters_.cleaner_io_requests);
   // Group fully cleaned and accounted (dirty counters decremented).
   TURBOBP_CRASH_POINT("lc/clean-marked");
   MaintainJournal(ctx);
@@ -270,7 +270,7 @@ void LazyCleaningCache::OnPartitionDegrade(Partition& part, IoContext& ctx) {
       r.page_lsn = PageView(buf.data(), disk_->page_bytes()).header().lsn;
       dirty_frames_.fetch_sub(1);
       part.heap.DirtyToClean(rec);
-      Counters::Bump(counters_.emergency_cleaned);
+      Bump(counters_.emergency_cleaned);
     } else {
       QuarantineFrameLocked(part, rec);
       RecordLostPage(pid);
@@ -314,7 +314,7 @@ IoResult LazyCleaningCache::FlushAllDirty(IoContext& ctx) {
   } else if (lost_live_.load(std::memory_order_acquire) > lost_before) {
     status = Status::IoError("dirty SSD frame lost during checkpoint flush");
   }
-  if (!status.ok()) Counters::Bump(counters_.checkpoint_flush_failures);
+  if (!status.ok()) Bump(counters_.checkpoint_flush_failures);
   // Chain to the base hook: the checkpoint is also the journal's force-flush
   // point (persistent cache). Its outcome never overrides the drain status.
   SsdCacheBase::FlushAllDirty(ctx);

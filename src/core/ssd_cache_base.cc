@@ -116,7 +116,7 @@ bool SsdCacheBase::TryReadPage(PageId pid, std::span<uint8_t> out,
     return false;
   }
   if (degraded()) {
-    counters_.Classified(counters_.probe_misses);
+    BumpClassified(counters_, counters_.probe_misses);
     return false;
   }
   Partition& part = PartitionFor(pid);
@@ -126,25 +126,25 @@ bool SsdCacheBase::TryReadPage(PageId pid, std::span<uint8_t> out,
     // observing it proves the partition holds nothing newer than disk. A
     // reader racing with an in-flight degrade sees the flag still false,
     // queues on the latch below, and finds an empty table.
-    counters_.Classified(counters_.probe_misses);
+    BumpClassified(counters_, counters_.probe_misses);
     return false;
   }
   TrackedLockGuard lock(part.mu);
   const int32_t rec = part.table.Lookup(pid);
   if (rec == -1) {
-    counters_.Classified(counters_.probe_misses);
+    BumpClassified(counters_, counters_.probe_misses);
     return false;
   }
   SsdFrameRecord& r = part.table.record(rec);
   if (r.state != SsdFrameState::kClean && r.state != SsdFrameState::kDirty) {
-    counters_.Classified(counters_.probe_misses);
+    BumpClassified(counters_, counters_.probe_misses);
     return false;
   }
   const bool must_read = r.state == SsdFrameState::kDirty;
   // Throttle control (Section 3.3.2): when the SSD queue is saturated, read
   // from disk instead — unless the SSD copy is newer (correctness).
   if (!must_read && ThrottleBlocks(ctx.now)) {
-    Counters::Bump(counters_.throttled);
+    Bump(counters_.throttled);
     return false;
   }
   if (r.ready_at > ctx.now) {
@@ -159,10 +159,10 @@ bool SsdCacheBase::TryReadPage(PageId pid, std::span<uint8_t> out,
   if (read.ok()) {
     r.Touch(ctx.now);
     part.heap.UpdateKey(rec);
-    counters_.Classified(counters_.hits);
+    BumpClassified(counters_, counters_.hits);
     // The paper attributes LC's TPC-C win to re-referenced dirty SSD pages
     // ("about 83% of the total SSD references are to dirty SSD pages").
-    if (must_read) Counters::Bump(counters_.hits_dirty);
+    if (must_read) Bump(counters_.hits_dirty);
     return true;
   }
   if (read.IsCorruption()) {
@@ -201,7 +201,7 @@ void SsdCacheBase::Invalidate(PageId pid) {
   part.table.PushFree(rec);
   used_frames_.fetch_sub(1);
   NoteJournalErase(FrameOf(part, rec));
-  Counters::Bump(counters_.invalidations);
+  Bump(counters_.invalidations);
 }
 
 void SsdCacheBase::OnEvictClean(PageId pid, std::span<const uint8_t> data,
@@ -209,11 +209,11 @@ void SsdCacheBase::OnEvictClean(PageId pid, std::span<const uint8_t> data,
   MaybeDegrade(ctx);
   if (degraded()) return;
   if (!AdmissionAllows(kind)) {
-    Counters::Bump(counters_.rejected_sequential);
+    Bump(counters_.rejected_sequential);
     return;
   }
   if (ThrottleBlocks(ctx.now)) {
-    Counters::Bump(counters_.throttled);
+    Bump(counters_.throttled);
     return;
   }
   AdmitPage(pid, data, kind, /*dirty=*/false, kInvalidLsn, ctx);
@@ -316,7 +316,7 @@ bool SsdCacheBase::AdmitPageImpl(PageId pid, std::span<const uint8_t> data,
     part.table.PushFree(victim);
     used_frames_.fetch_sub(1);
     NoteJournalErase(FrameOf(part, victim));
-    Counters::Bump(counters_.evictions);
+    Bump(counters_.evictions);
     rec = part.table.PopFree();
     TURBOBP_CHECK(rec != -1);
   }
@@ -354,7 +354,7 @@ bool SsdCacheBase::AdmitPageImpl(PageId pid, std::span<const uint8_t> data,
   }
   r.ready_at = w.time;
   NoteJournalPut(FrameOf(part, rec), pid, r.page_lsn, dirty);
-  Counters::Bump(counters_.admissions);
+  Bump(counters_.admissions);
   // Mapping installed over freshly-landed frame content. For LC dirty
   // admissions this is the moment the SSD becomes the page's newest copy.
   TURBOBP_CRASH_POINT("ssd/admit");
@@ -373,7 +373,7 @@ IoResult SsdCacheBase::WriteFrame(Partition& part, int32_t rec,
     // is held; the observer must not re-enter the cache).
     TURBOBP_CRASH_POINT("ssd/frame-write");
     if (res.ok()) return res;
-    Counters::Bump(counters_.device_write_errors);
+    Bump(counters_.device_write_errors);
     RecordDeviceError(part, at);
     // A failed attempt still occupies the device until its completion time;
     // the next attempt's backoff counts from there, not from submission.
@@ -390,7 +390,7 @@ IoResult SsdCacheBase::ReadFrame(Partition& part, int32_t rec,
   if (res.ok()) {
     ctx.Wait(res.time);
   } else {
-    Counters::Bump(counters_.device_read_errors);
+    Bump(counters_.device_read_errors);
     RecordDeviceError(part, ctx.now);
   }
   return res;
@@ -402,7 +402,7 @@ Status SsdCacheBase::ReadFrameVerified(Partition& part, int32_t rec, PageId pid,
   Status last;
   for (int attempt = 0; attempt < options_.io_retry_limit; ++attempt) {
     if (attempt > 0) {
-      Counters::Bump(counters_.read_retries);
+      Bump(counters_.read_retries);
       if (ctx.charge) ctx.now += options_.io_retry_backoff;
     }
     const Time issued = ctx.now;
@@ -410,7 +410,7 @@ Status SsdCacheBase::ReadFrameVerified(Partition& part, int32_t rec, PageId pid,
         ssd_device_->Read(FrameOf(part, rec), 1, out, ctx.now, ctx.charge);
     if (!res.ok()) {
       last = res.status;
-      Counters::Bump(counters_.device_read_errors);
+      Bump(counters_.device_read_errors);
       RecordDeviceError(part, ctx.now);
       // A failed attempt still occupied the device until its completion
       // time: charge it, so latency spikes and retry backoff compose the
@@ -434,7 +434,7 @@ Status SsdCacheBase::ReadFrameVerified(Partition& part, int32_t rec, PageId pid,
       // is identical) hedge the read to disk at the deadline instead of
       // waiting out the stall.
       const Time deadline_at = svc_begin + options_.read_deadline;
-      Counters::Bump(counters_.io_timeouts);
+      Bump(counters_.io_timeouts);
       RecordDeviceError(part, deadline_at);
       if (hedge_ok && options_.hedge_reads) {
         ctx.Wait(deadline_at);
@@ -447,7 +447,7 @@ Status SsdCacheBase::ReadFrameVerified(Partition& part, int32_t rec, PageId pid,
                             static_cast<uint32_t>(hedge_buf.size()));
           if (dv.header().page_id == pid && dv.VerifyChecksum()) {
             std::memcpy(out.data(), hedge_buf.data(), out.size());
-            Counters::Bump(counters_.hedged_reads);
+            Bump(counters_.hedged_reads);
             return Status::Ok();
           }
         }
@@ -462,7 +462,7 @@ Status SsdCacheBase::ReadFrameVerified(Partition& part, int32_t rec, PageId pid,
     // fine) — a re-read decides. Persistent mismatch means the frame holds
     // damaged content.
     last = Status::Corruption("ssd frame failed checksum verification");
-    Counters::Bump(counters_.frame_corruptions);
+    Bump(counters_.frame_corruptions);
     RecordDeviceError(part, ctx.now);
   }
   return last.ok() ? Status::IoError("ssd frame read failed") : last;
@@ -564,7 +564,7 @@ void SsdCacheBase::DegradePartition(Partition& part, IoContext& ctx) {
     part.degraded.store(true, std::memory_order_release);
   }
   degraded_partitions_.fetch_add(1, std::memory_order_acq_rel);
-  Counters::Bump(counters_.partitions_degraded);
+  Bump(counters_.partitions_degraded);
   MaintainJournal(ctx);
 }
 
@@ -647,7 +647,7 @@ void SsdCacheBase::TryHealPartition(Partition& part, IoContext& ctx) {
   part.window_start.store(ctx.now, std::memory_order_relaxed);
   part.degraded.store(false, std::memory_order_release);
   degraded_partitions_.fetch_sub(1, std::memory_order_acq_rel);
-  Counters::Bump(counters_.partitions_recovered);
+  Bump(counters_.partitions_recovered);
   // Re-arm the degrade sequence last: clearing it earlier would let a
   // concurrent DegradePartition re-run salvage+purge on a partition whose
   // pass-through flag is still up and double-count the gauges above.
@@ -715,7 +715,7 @@ bool SsdCacheBase::ScrubOneSlot(IoContext& ctx, std::vector<uint8_t>& buf) {
     const PageId pid = r.page_id;
     const Status vs = ReadFrameVerified(part, rec, pid, buf, ctx);
     if (vs.ok()) {
-      Counters::Bump(counters_.scrub_frames_verified);
+      Bump(counters_.scrub_frames_verified);
       ok = true;
     } else if (vs.IsCorruption()) {
       // Latent corruption caught by patrol, not by a client read.
@@ -755,7 +755,7 @@ void SsdCacheBase::RepairFrame(PageId pid, IoContext& ctx) {
     // The repaired copy sits on a healthy frame and its journal record is
     // staged; a crash here re-runs at most the (idempotent) re-admission.
     TURBOBP_CRASH_POINT("ssd/scrub-repair");
-    Counters::Bump(counters_.scrub_frames_repaired);
+    Bump(counters_.scrub_frames_repaired);
   }
 }
 
@@ -863,7 +863,7 @@ void SsdCacheBase::RestoreEntries(
       checksum_ok =
           PageView(buf.data(), ssd_device_->page_bytes()).VerifyChecksum();
     } else {
-      Counters::Bump(counters_.device_read_errors);
+      Bump(counters_.device_read_errors);
       RecordDeviceError(part, ctx.now);
     }
     if (!rres.ok() || !checksum_ok) {
@@ -1000,7 +1000,7 @@ std::vector<SsdCacheBase::FrameEntry> SsdCacheBase::LazyScanEntries(
       const IoResult rres =
           ssd_device_->Read(frame, 1, buf, ctx.now, ctx.charge);
       if (!rres.ok()) {
-        Counters::Bump(counters_.device_read_errors);
+        Bump(counters_.device_read_errors);
         RecordDeviceError(part, ctx.now);
         continue;
       }
@@ -1105,7 +1105,7 @@ bool SsdCacheBase::RecoverPersistentState(
   journal_suppress_.store(false, std::memory_order_release);
   const IoResult c = journal_->Compact(ctx);
   if (!c.ok()) {
-    Counters::Bump(counters_.device_write_errors);
+    Bump(counters_.device_write_errors);
     RecordJournalError(ctx.now);
   }
   return true;
@@ -1121,7 +1121,7 @@ void SsdCacheBase::MaintainJournal(IoContext& ctx, bool force) {
     // Journal write failures are advisory for the cache (a stale journal
     // only costs warm-restart coverage) but still count toward the device's
     // degradation budget: the journal shares the medium with the frames.
-    Counters::Bump(counters_.device_write_errors);
+    Bump(counters_.device_write_errors);
     RecordJournalError(ctx.now);
   }
 }
@@ -1136,56 +1136,15 @@ IoResult SsdCacheBase::FlushAllDirty(IoContext& ctx) {
 }
 
 SsdManagerStats SsdCacheBase::stats() const {
-  const auto ld = [](const std::atomic<int64_t>& c) {
-    return c.load(std::memory_order_relaxed);
-  };
   SsdManagerStats s;
-  // Consistent snapshot under concurrency: ops is bumped last (release) by
-  // every probe classification and read first here (acquire), so even a
-  // single pass observes hits + probe_misses >= ops. The re-read at the end
-  // of the pass upgrades that to a stable snapshot — if ops did not move
-  // while the other counters were copied, no classification ran and the
-  // pass is atomic; otherwise retry (bounded: under a continuous write
-  // storm the ordered single pass is still invariant-preserving).
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    s.ops = counters_.ops.load(std::memory_order_acquire);
-    s.hits = ld(counters_.hits);
-    s.probe_misses = ld(counters_.probe_misses);
-    if (counters_.ops.load(std::memory_order_acquire) == s.ops) break;
-  }
-  s.hits_dirty = ld(counters_.hits_dirty);
-  s.admissions = ld(counters_.admissions);
-  s.evictions = ld(counters_.evictions);
-  s.throttled = ld(counters_.throttled);
-  s.rejected_sequential = ld(counters_.rejected_sequential);
-  s.cleaner_disk_writes = ld(counters_.cleaner_disk_writes);
-  s.cleaner_io_requests = ld(counters_.cleaner_io_requests);
-  s.invalidations = ld(counters_.invalidations);
+  SnapshotCounters(counters_, s);
   s.used_frames = used_frames_.load();
   s.dirty_frames = dirty_frames_.load();
   s.invalid_frames = invalid_frames_.load();
   s.capacity_frames = options_.num_frames;
-  s.device_read_errors = ld(counters_.device_read_errors);
-  s.device_write_errors = ld(counters_.device_write_errors);
-  s.read_retries = ld(counters_.read_retries);
-  s.frame_corruptions = ld(counters_.frame_corruptions);
   s.quarantined_frames = quarantined_frames_.load();
   s.lost_pages = lost_live_.load();
-  s.emergency_cleaned = ld(counters_.emergency_cleaned);
-  s.checkpoint_flush_failures = ld(counters_.checkpoint_flush_failures);
   s.degraded = degraded();
-  s.partitions_degraded = ld(counters_.partitions_degraded);
-  s.partitions_recovered = ld(counters_.partitions_recovered);
-  s.scrub_frames_verified = ld(counters_.scrub_frames_verified);
-  s.scrub_frames_repaired = ld(counters_.scrub_frames_repaired);
-  s.io_timeouts = ld(counters_.io_timeouts);
-  s.hedged_reads = ld(counters_.hedged_reads);
-  if (journal_ != nullptr) {
-    s.journal_records_appended = journal_->records_appended();
-    s.journal_pages_written = journal_->pages_written();
-    s.journal_compactions = journal_->compactions();
-    s.journal_write_errors = journal_->write_errors();
-  }
   return s;
 }
 

@@ -402,48 +402,9 @@ class SsdCacheBase : public SsdManager {
   std::unordered_set<PageId> lost_pages_ TURBOBP_GUARDED_BY(fault_mu_);
   std::atomic<int64_t> lost_live_{0};
 
-  // Stats counters: relaxed atomics, incremented from any thread (often
-  // under a partition lock) and snapshotted by stats() without one.
-  struct Counters {
-    // Probe classifications: bumped once per TryReadPage outcome that lands
-    // in hits or probe_misses (throttle skips and read errors classify as
-    // neither). Incremented LAST, with release ordering, so a snapshot that
-    // reads ops first (acquire) always observes hits + probe_misses >= ops
-    // — the conservation invariant stats() promises even mid-probe.
-    std::atomic<int64_t> ops{0};
-    std::atomic<int64_t> hits{0};
-    std::atomic<int64_t> hits_dirty{0};
-    std::atomic<int64_t> probe_misses{0};
-    std::atomic<int64_t> admissions{0};
-    std::atomic<int64_t> evictions{0};
-    std::atomic<int64_t> throttled{0};
-    std::atomic<int64_t> rejected_sequential{0};
-    std::atomic<int64_t> cleaner_disk_writes{0};
-    std::atomic<int64_t> cleaner_io_requests{0};
-    std::atomic<int64_t> invalidations{0};
-    std::atomic<int64_t> device_read_errors{0};
-    std::atomic<int64_t> device_write_errors{0};
-    std::atomic<int64_t> read_retries{0};
-    std::atomic<int64_t> frame_corruptions{0};
-    std::atomic<int64_t> emergency_cleaned{0};
-    std::atomic<int64_t> checkpoint_flush_failures{0};
-    std::atomic<int64_t> partitions_degraded{0};
-    std::atomic<int64_t> partitions_recovered{0};
-    std::atomic<int64_t> scrub_frames_verified{0};
-    std::atomic<int64_t> scrub_frames_repaired{0};
-    std::atomic<int64_t> io_timeouts{0};
-    std::atomic<int64_t> hedged_reads{0};
-
-    static void Bump(std::atomic<int64_t>& c, int64_t by = 1) {
-      c.fetch_add(by, std::memory_order_relaxed);
-    }
-    // Bumps a classification counter and then seals the probe into ops.
-    void Classified(std::atomic<int64_t>& c) {
-      c.fetch_add(1, std::memory_order_relaxed);
-      ops.fetch_add(1, std::memory_order_release);
-    }
-  };
-  mutable Counters counters_;
+  // Live counters: relaxed atomics, bumped from any thread (often under a
+  // partition lock) and snapshotted by stats() without one.
+  mutable SsdCacheCounters<LiveCounter> counters_;
 
  private:
   // AdmitPage's body (everything under the partition latch); the public

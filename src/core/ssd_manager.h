@@ -6,6 +6,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/counter_list.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "storage/io_context.h"
@@ -28,48 +29,52 @@ struct EvictionOutcome {
   bool cached_on_ssd = false;   // page was admitted to the SSD
 };
 
-struct SsdManagerStats {
-  // Probe classifications: hits + probe_misses >= ops holds in EVERY
-  // snapshot, including one taken mid-probe from another thread (equality
-  // at quiescence). A naive field-by-field relaxed copy can tear and break
-  // it; SsdCacheBase::stats() orders and retries its reads to keep it.
-  int64_t ops = 0;
-  int64_t hits = 0;             // pages served from the SSD
-  int64_t hits_dirty = 0;       // ... of which were dirty SSD pages (LC)
-  int64_t probe_misses = 0;     // lookups that found nothing usable
-  int64_t admissions = 0;       // pages written into the SSD cache
-  int64_t evictions = 0;        // pages replaced
-  int64_t throttled = 0;        // operations skipped by throttle control
-  int64_t rejected_sequential = 0;  // admissions denied by the policy
-  int64_t cleaner_disk_writes = 0;  // LC: pages copied SSD -> disk
-  int64_t cleaner_io_requests = 0;  // LC: disk write requests issued
-  int64_t invalidations = 0;
+// The SSD cache's counters, declared once (common/counter_list.h). `ops`
+// counts probes that classify as one hit or one probe miss (throttle skips
+// and read errors classify as neither).
+#define TURBOBP_SSD_CACHE_COUNTERS(X)                                         \
+  X(ops)                                                                      \
+  X(hits)                  /* pages served from the SSD */                    \
+  X(hits_dirty)            /* ... of which were dirty SSD pages (LC) */       \
+  X(probe_misses)          /* lookups that found nothing usable */            \
+  X(admissions)            /* pages written into the SSD cache */             \
+  X(evictions)             /* pages replaced */                               \
+  X(throttled)             /* operations skipped by throttle control */       \
+  X(rejected_sequential)   /* admissions denied by the policy */              \
+  X(cleaner_disk_writes)   /* LC: pages copied SSD -> disk */                 \
+  X(cleaner_io_requests)   /* LC: disk write requests issued */               \
+  X(invalidations)                                                            \
+  /* Fault handling (src/fault): device failures seen and survived. */        \
+  X(device_read_errors)    /* failed SSD read attempts */                     \
+  X(device_write_errors)   /* failed SSD write attempts */                    \
+  X(read_retries)          /* extra attempts after transient errors */        \
+  X(frame_corruptions)     /* checksum/page-id mismatches on frames */        \
+  X(emergency_cleaned)     /* LC: dirty frames salvaged at degrade */         \
+  X(checkpoint_flush_failures) /* FlushAllDirty calls that failed */          \
+  /* Self-healing (per-partition degradation + background scrub). */          \
+  X(partitions_degraded)   /* partitions that entered pass-through */         \
+  X(partitions_recovered)  /* partitions re-enabled after healing */          \
+  X(scrub_frames_verified) /* patrol reads that verified clean */             \
+  X(scrub_frames_repaired) /* corrupt frames re-seeded from disk */           \
+  X(io_timeouts)           /* reads that blew their deadline */               \
+  X(hedged_reads)          /* reads completed from disk via hedging */
+
+template <typename T>
+struct SsdCacheCounters {
+  TURBOBP_COUNTER_SET(TURBOBP_SSD_CACHE_COUNTERS)
+};
+
+// What stats() returns: the counters (hits + probe_misses >= ops in EVERY
+// snapshot, including one taken mid-probe from another thread; equality at
+// quiescence) plus gauges read from the cache's live state.
+struct SsdManagerStats : SsdCacheCounters<int64_t> {
   int64_t used_frames = 0;
   int64_t dirty_frames = 0;
   int64_t invalid_frames = 0;   // TAC: logically invalidated, space wasted
   int64_t capacity_frames = 0;
-  // Fault handling (src/fault): device failures seen and survived.
-  int64_t device_read_errors = 0;   // failed SSD read attempts
-  int64_t device_write_errors = 0;  // failed SSD write attempts
-  int64_t read_retries = 0;         // extra attempts after transient errors
-  int64_t frame_corruptions = 0;    // checksum/page-id mismatches on frames
   int64_t quarantined_frames = 0;   // frames taken out of service
   int64_t lost_pages = 0;           // dirty pages whose only copy is gone
-  int64_t emergency_cleaned = 0;    // LC: dirty frames salvaged at degrade
-  int64_t checkpoint_flush_failures = 0;  // FlushAllDirty calls that failed
   bool degraded = false;            // ALL partitions (or the cache) passed-through
-  // Self-healing (per-partition degradation + background scrub).
-  int64_t partitions_degraded = 0;  // partitions that entered pass-through
-  int64_t partitions_recovered = 0; // partitions re-enabled after healing
-  int64_t scrub_frames_verified = 0;  // patrol reads that verified clean
-  int64_t scrub_frames_repaired = 0;  // corrupt frames re-seeded from disk
-  int64_t io_timeouts = 0;          // reads that blew their deadline
-  int64_t hedged_reads = 0;         // reads completed from disk via hedging
-  // Persistent-cache metadata journal (persistent_ssd_cache mode only).
-  int64_t journal_records_appended = 0;
-  int64_t journal_pages_written = 0;
-  int64_t journal_compactions = 0;
-  int64_t journal_write_errors = 0;
 };
 
 // Outcome of a persistent-cache warm restart (RecoverPersistentState).

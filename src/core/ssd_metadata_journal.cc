@@ -230,8 +230,6 @@ IoResult SsdMetadataJournal::FlushTail(IoContext& ctx, bool force) {
     }
     res.time = std::max(res.time, w.time);
     if (n == records_per_page_) {
-      records_appended_.fetch_add(static_cast<int64_t>(n),
-                                  std::memory_order_relaxed);
       consumed += n;
       ++append_used_pages_;
     } else {
@@ -321,8 +319,6 @@ IoResult SsdMetadataJournal::WriteRegionPage(uint64_t abs_page,
   // The durable journal bytes just changed on the medium; `crash_point`
   // names which edge (append / compact / seal) for the torture harness.
   TURBOBP_CRASH_POINT(crash_point);
-  if (!w.ok()) write_errors_.fetch_add(1, std::memory_order_relaxed);
-  pages_written_.fetch_add(1, std::memory_order_relaxed);
   return w;
 }
 

@@ -144,17 +144,8 @@ class SsdMetadataJournal {
       mu_, TURBOBP_LATCH_CAP(LatchClass::kSsdJournal));
 
   // --- stats ---------------------------------------------------------------
-  int64_t records_appended() const {
-    return records_appended_.load(std::memory_order_relaxed);
-  }
-  int64_t pages_written() const {
-    return pages_written_.load(std::memory_order_relaxed);
-  }
   int64_t compactions() const {
     return compactions_.load(std::memory_order_relaxed);
-  }
-  int64_t write_errors() const {
-    return write_errors_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -195,10 +186,7 @@ class SsdMetadataJournal {
   uint32_t append_used_pages_ = 0;  // fully-filled append pages this epoch
   bool opened_ = false;
 
-  std::atomic<int64_t> records_appended_{0};
-  std::atomic<int64_t> pages_written_{0};
   std::atomic<int64_t> compactions_{0};
-  std::atomic<int64_t> write_errors_{0};
 };
 
 }  // namespace turbobp

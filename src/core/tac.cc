@@ -70,7 +70,7 @@ void TacCache::OnDiskRead(PageId pid, std::span<const uint8_t> data,
   }
 
   if (ThrottleBlocks(ctx.now)) {
-    Counters::Bump(counters_.throttled);
+    Bump(counters_.throttled);
     return;
   }
 
@@ -151,7 +151,7 @@ void TacCache::OnPageDirtied(PageId pid) {
   // The frame must not be re-attached on a warm restart: its content is
   // about to be superseded in the buffer pool.
   NoteJournalErase(FrameOf(part, rec));
-  Counters::Bump(counters_.invalidations);
+  Bump(counters_.invalidations);
 }
 
 void TacCache::OnEvictClean(PageId pid, std::span<const uint8_t> data,
@@ -175,7 +175,7 @@ EvictionOutcome TacCache::OnEvictDirty(PageId pid,
     SsdFrameRecord& r = part.table.record(rec);
     if (r.state != SsdFrameState::kInvalid) return outcome;
     if (ThrottleBlocks(ctx.now)) {
-      Counters::Bump(counters_.throttled);
+      Bump(counters_.throttled);
       return outcome;
     }
     // Re-validate with the fresh content — but only once the write succeeded
@@ -197,7 +197,7 @@ EvictionOutcome TacCache::OnEvictDirty(PageId pid,
     r.ready_at = w.time;
     NoteJournalPut(FrameOf(part, rec), pid, page_lsn, /*dirty=*/false);
     outcome.cached_on_ssd = true;
-    Counters::Bump(counters_.admissions);
+    Bump(counters_.admissions);
   }
   MaintainJournal(ctx);
   return outcome;

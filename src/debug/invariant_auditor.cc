@@ -576,6 +576,14 @@ std::atomic<int64_t>& AuditAccess::DirtyFrames(SsdCacheBase& cache) {
   return cache.dirty_frames_;
 }
 
+SsdCacheCounters<LiveCounter>& AuditAccess::Counters(SsdCacheBase& cache) {
+  return cache.counters_;
+}
+
+BufferPoolCounters<LiveCounter>& AuditAccess::Counters(BufferPool& pool) {
+  return pool.counters_;
+}
+
 void AuditAccess::RebindPageTableEntry(BufferPool& pool, PageId pid,
                                        int32_t frame) {
   auto& sh = *pool.shards_[pool.ShardOf(pid)];

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/counter_list.h"
 #include "common/types.h"
 
 namespace turbobp {
@@ -16,6 +17,10 @@ class SsdBufferTable;
 class SsdSplitHeap;
 class SsdManager;
 enum class SsdFrameState : uint8_t;
+template <typename T>
+struct BufferPoolCounters;
+template <typename T>
+struct SsdCacheCounters;
 
 // One broken invariant: which structure it lives in and what is wrong.
 struct InvariantViolation {
@@ -107,6 +112,9 @@ struct AuditAccess {
   static SsdBufferTable& Table(SsdCacheBase& cache, size_t partition);
   static SsdSplitHeap& Heap(SsdCacheBase& cache, size_t partition);
   static std::atomic<int64_t>& DirtyFrames(SsdCacheBase& cache);
+  // The live counters, for tests that drive every entry of the list.
+  static SsdCacheCounters<LiveCounter>& Counters(SsdCacheBase& cache);
+  static BufferPoolCounters<LiveCounter>& Counters(BufferPool& pool);
 
   // Rewires pool.page_table_[pid] = frame (frame == -1 erases the entry).
   static void RebindPageTableEntry(BufferPool& pool, PageId pid, int32_t frame);

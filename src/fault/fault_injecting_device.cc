@@ -74,7 +74,7 @@ FaultKind FaultInjectingDevice::NextFault(IoOp op, Time now,
   switch (kind) {
     case FaultKind::kNone: break;
     case FaultKind::kTransientError: ++stats_.transient_errors; break;
-    case FaultKind::kTornWrite: ++stats_.torn_writes; break;
+    case FaultKind::kTornWrite: break;  // counted by Write, if it tears
     case FaultKind::kBitFlip: ++stats_.bit_flips; break;
     case FaultKind::kLatencySpike: ++stats_.latency_spikes; break;
     case FaultKind::kStuckIo: ++stats_.stuck_ios; break;
@@ -150,10 +150,16 @@ IoResult FaultInjectingDevice::Write(uint64_t first_page, uint32_t num_pages,
       (void)base_->Read(first_page, 1, std::span<uint8_t>(merged), now,
                         /*charge=*/false);
       std::memcpy(merged.data(), data.data(), pb / 2);
+      // Old content whose second half already matches leaves the medium
+      // holding exactly what was acked: no tear happened.
+      if (std::memcmp(merged.data(), data.data(), pb) != 0) {
+        ++stats_.torn_writes;
+      }
       return base_->Write(first_page, 1,
                           std::span<const uint8_t>(merged.data(), pb), now,
                           charge);
     }
+    ++stats_.torn_writes;
     const uint32_t landed = static_cast<uint32_t>(rng_.Uniform(num_pages));
     if (landed == 0) return IoResult{now, Status::Ok()};
     return base_->Write(first_page, landed,

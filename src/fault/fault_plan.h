@@ -90,7 +90,7 @@ struct FaultPlan {
 struct FaultStats {
   int64_t ops = 0;
   int64_t transient_errors = 0;
-  int64_t torn_writes = 0;
+  int64_t torn_writes = 0;  // tears that left the medium != what was acked
   int64_t bit_flips = 0;
   int64_t latency_spikes = 0;
   int64_t stuck_ios = 0;

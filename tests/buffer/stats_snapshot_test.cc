@@ -11,6 +11,8 @@
 // in every interleaving, with equality at quiescence. These tests hammer the
 // structures from multiple threads while a dedicated thread snapshots in a
 // loop and asserts the invariant on every sample. Runs under TSan in CI.
+// Two more walk each layer's counter list: every entry reaches stats(), and
+// the pool's ResetStats() zeroes every entry.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "buffer/buffer_pool.h"
 #include "common/rng.h"
 #include "core/dual_write.h"
+#include "debug/invariant_auditor.h"
 #include "storage/mem_device.h"
 #include "storage/page.h"
 #include "wal/log_manager.h"
@@ -145,6 +148,66 @@ TEST(StatsSnapshotTest, SsdCacheSnapshotsNeverTear) {
   // Quiescent reconciliation: every probe classified as hit or miss.
   const SsdManagerStats s = ssd.stats();
   EXPECT_EQ(s.hits + s.probe_misses, s.ops);
+}
+
+// Bumps entry k of `live`'s list by k and returns how many entries it has.
+template <typename Live>
+int BumpEachByItsPosition(Live& live) {
+  int k = 0;
+  Live::ForEach([&](const char*, LiveCounter& c) { Bump(c, ++k); }, live);
+  return k;
+}
+
+// Expects entry k of `stats`' list to read k (or 0 when `zero`), and that
+// the list has `entries` entries.
+template <typename Stats>
+void ExpectEachAtItsPosition(const Stats& stats, int entries, bool zero) {
+  int k = 0;
+  Stats::ForEach(
+      [&](const char* name, int64_t got) {
+        ++k;
+        EXPECT_EQ(got, zero ? 0 : k) << name;
+      },
+      stats);
+  EXPECT_EQ(k, entries);
+}
+
+TEST(StatsSnapshotTest, EveryPoolCounterIsSnapshottedAndReset) {
+  MemDevice disk_dev(kPages, kPage);
+  MemDevice log_dev(1 << 12, kPage);
+  DiskManager disk(&disk_dev);
+  LogManager log(&log_dev);
+  BufferPool::Options opts;
+  opts.num_frames = 32;
+  opts.page_bytes = kPage;
+  BufferPool pool(opts, &disk, &log, nullptr);
+
+  const int entries = BumpEachByItsPosition(AuditAccess::Counters(pool));
+  ASSERT_GT(entries, 3);
+  const BufferPoolStats bumped = pool.stats();
+  ExpectEachAtItsPosition(bumped, entries, /*zero=*/false);
+  EXPECT_EQ(bumped.ops, 1);  // the list leads with ops, as the protocol needs
+
+  pool.ResetStats();
+  const BufferPoolStats reset = pool.stats();
+  ExpectEachAtItsPosition(reset, entries, /*zero=*/true);
+}
+
+TEST(StatsSnapshotTest, EverySsdCounterIsSnapshotted) {
+  MemDevice disk_dev(kPages, kPage);
+  MemDevice ssd_dev(64, kPage);
+  DiskManager disk(&disk_dev);
+  SsdCacheOptions sopts;
+  sopts.num_frames = 64;
+  sopts.num_partitions = 4;
+  DualWriteCache ssd(&ssd_dev, &disk, sopts, nullptr);
+
+  const int entries = BumpEachByItsPosition(AuditAccess::Counters(ssd));
+  ASSERT_GT(entries, 3);
+  const SsdManagerStats bumped = ssd.stats();
+  ExpectEachAtItsPosition(bumped, entries, /*zero=*/false);
+  EXPECT_EQ(bumped.ops, 1);
+  EXPECT_EQ(bumped.capacity_frames, 64);  // gauges still come from the cache
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -84,6 +85,41 @@ TEST(FaultDeviceTest, TornSinglePageWriteLandsHalfAndReportsSuccess) {
   EXPECT_EQ(out[kPage / 2 - 1], 0xBB);
   EXPECT_EQ(out[kPage / 2], 0xAA);
   EXPECT_EQ(out[kPage - 1], 0xAA);
+  EXPECT_EQ(dev.fault_stats().torn_writes, 1);
+}
+
+// A single-page tear lands the new first half over the old second half.
+// Where the old second half already equals the new one, the medium holds
+// exactly what was acked: nothing tore, so nothing is counted.
+TEST(FaultDeviceTest, TornWriteThatChangesNoByteIsNotCounted) {
+  MemDevice mem(16, kPage);
+  FaultPlan plan;
+  plan.scripted[1] = FaultKind::kTornWrite;
+  FaultInjectingDevice dev(&mem, plan);
+  auto old_content = Fill(0xCC);
+  auto new_content = Fill(0xCC);
+  std::fill(new_content.begin(), new_content.begin() + kPage / 2, 0xBB);
+  ASSERT_TRUE(dev.Write(5, 1, old_content, 0).ok());  // op 0
+  ASSERT_TRUE(dev.Write(5, 1, new_content, 0).ok());  // op 1: a no-op tear
+  std::vector<uint8_t> out(kPage);
+  ASSERT_TRUE(dev.Read(5, 1, out, 0).ok());
+  EXPECT_EQ(out, new_content);
+  EXPECT_EQ(dev.fault_stats().torn_writes, 0);
+}
+
+TEST(FaultDeviceTest, TornWriteThatKeepsOneOldByteIsCounted) {
+  MemDevice mem(16, kPage);
+  FaultPlan plan;
+  plan.scripted[1] = FaultKind::kTornWrite;
+  FaultInjectingDevice dev(&mem, plan);
+  auto new_content = Fill(0xBB);
+  auto old_content = new_content;
+  old_content[kPage - 1] = 0xAA;  // the second halves differ in one byte
+  ASSERT_TRUE(dev.Write(5, 1, old_content, 0).ok());  // op 0
+  ASSERT_TRUE(dev.Write(5, 1, new_content, 0).ok());  // op 1: torn
+  std::vector<uint8_t> out(kPage);
+  ASSERT_TRUE(dev.Read(5, 1, out, 0).ok());
+  EXPECT_EQ(out, old_content);
   EXPECT_EQ(dev.fault_stats().torn_writes, 1);
 }
 

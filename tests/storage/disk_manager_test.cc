@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include "fault/fault_injecting_device.h"
 #include "storage/file_device.h"
 #include "storage/mem_device.h"
 #include "storage/sim_device.h"
@@ -18,7 +19,6 @@ TEST(DiskManagerTest, BlockingReadAdvancesClientClock) {
   ASSERT_TRUE(dm.ReadPage(5, buf, ctx).ok());
   EXPECT_GT(ctx.now, Millis(5));  // paid a random-read seek
   EXPECT_EQ(dm.reads_issued(), 1);
-  EXPECT_EQ(ctx.disk_reads, 1);
 }
 
 TEST(DiskManagerTest, AsyncWriteLeavesClientClockAlone) {
@@ -77,6 +77,98 @@ TEST(DiskManagerTest, LoaderModeIsFree) {
   EXPECT_EQ(ctx.now, 0);
   EXPECT_EQ(dm.reads_issued(), 0);
   EXPECT_EQ(dm.writes_issued(), 0);
+}
+
+// The blocking retry policy: a transient error is retried after
+// kRetryBackoff of virtual time, for at most kRetryLimit attempts in all;
+// an offline device is never retried. Every failed call counts one error.
+struct RetryOutcome {
+  Status status = Status::Ok();
+  Time now = 0;         // the client clock after the call
+  Time completion = 0;  // WritePage's completion time
+  int64_t retries = 0;
+  int64_t errors = 0;
+};
+
+// One ReadPage or WritePage through a DiskManager over a fault device that
+// injects `fault` on its first `count` operations.
+RetryOutcome RunThroughFaults(IoOp op, FaultKind fault, int count) {
+  SimDevice base(1 << 10, 8192, std::make_unique<HddModel>());
+  FaultPlan plan;
+  for (int i = 0; i < count; ++i) plan.scripted[i] = fault;
+  FaultInjectingDevice dev(&base, plan);
+  DiskManager dm(&dev);
+  IoContext ctx;
+  std::vector<uint8_t> buf(8192);
+  RetryOutcome out;
+  if (op == IoOp::kRead) {
+    out.status = dm.ReadPage(5, buf, ctx);
+  } else {
+    const IoResult r = dm.WritePage(5, buf, ctx);
+    out.status = r.status;
+    out.completion = r.time;
+  }
+  out.now = ctx.now;
+  out.retries = dm.io_retries();
+  out.errors = dm.io_errors();
+  return out;
+}
+
+TEST(DiskManagerRetryTest, TransientReadErrorCostsOneBackoff) {
+  const RetryOutcome healthy =
+      RunThroughFaults(IoOp::kRead, FaultKind::kNone, 0);
+  const RetryOutcome r =
+      RunThroughFaults(IoOp::kRead, FaultKind::kTransientError, 1);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.retries, 1);
+  EXPECT_EQ(r.errors, 0);
+  EXPECT_EQ(r.now, healthy.now + DiskManager::kRetryBackoff);
+}
+
+TEST(DiskManagerRetryTest, ReadGivesUpAfterRetryLimit) {
+  const RetryOutcome r = RunThroughFaults(
+      IoOp::kRead, FaultKind::kTransientError, DiskManager::kRetryLimit);
+  EXPECT_TRUE(r.status.IsIoError()) << r.status.ToString();
+  EXPECT_EQ(r.retries, DiskManager::kRetryLimit - 1);
+  EXPECT_EQ(r.errors, 1);
+}
+
+TEST(DiskManagerRetryTest, OfflineReadIsNotRetried) {
+  const RetryOutcome r =
+      RunThroughFaults(IoOp::kRead, FaultKind::kDeviceOffline, 1);
+  EXPECT_TRUE(r.status.IsUnavailable()) << r.status.ToString();
+  EXPECT_EQ(r.retries, 0);
+  EXPECT_EQ(r.errors, 1);
+}
+
+TEST(DiskManagerRetryTest, TransientWriteErrorDelaysCompletionNotClient) {
+  const RetryOutcome healthy =
+      RunThroughFaults(IoOp::kWrite, FaultKind::kNone, 0);
+  const RetryOutcome r =
+      RunThroughFaults(IoOp::kWrite, FaultKind::kTransientError, 1);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.retries, 1);
+  EXPECT_EQ(r.errors, 0);
+  EXPECT_EQ(r.now, 0);
+  EXPECT_EQ(r.completion, healthy.completion + DiskManager::kRetryBackoff);
+}
+
+TEST(DiskManagerRetryTest, WriteGivesUpAfterRetryLimit) {
+  const RetryOutcome r = RunThroughFaults(
+      IoOp::kWrite, FaultKind::kTransientError, DiskManager::kRetryLimit);
+  EXPECT_TRUE(r.status.IsIoError()) << r.status.ToString();
+  EXPECT_EQ(r.retries, DiskManager::kRetryLimit - 1);
+  EXPECT_EQ(r.errors, 1);
+  EXPECT_EQ(r.now, 0);
+}
+
+TEST(DiskManagerRetryTest, OfflineWriteIsNotRetried) {
+  const RetryOutcome r =
+      RunThroughFaults(IoOp::kWrite, FaultKind::kDeviceOffline, 1);
+  EXPECT_TRUE(r.status.IsUnavailable()) << r.status.ToString();
+  EXPECT_EQ(r.retries, 0);
+  EXPECT_EQ(r.errors, 1);
+  EXPECT_EQ(r.now, 0);
 }
 
 TEST(FileDeviceTest, CreateWriteReadRoundTrip) {
